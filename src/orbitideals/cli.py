@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from math import comb
 
 from .membership import MEMBER, GradedPiece, verify_minimal, verify_redundant
 from .minors import family_rank, minor_sum_basis, principal_minor_sum
@@ -31,7 +30,7 @@ from .partitions import (
     rank_variety_schedule,
     redundancy_witness,
 )
-from .schur import dimension_table
+from .schur import dimension_table, layer_basis
 
 DEFAULT_MAX_N = 5
 WORKDIR_ENV = "ORBIT_IDEALS_WORKDIR"
@@ -165,11 +164,7 @@ def cmd_schedule(args) -> int:
 
 def _generator_estimate(mu: Partition) -> int:
     sched = minimal_schedule(mu)
-    total = len(sched.invariant_degrees)
-    n = mu.n
-    for d in sched.minor_spaces:
-        total += comb(n, min(d.i, d.p, n - d.p)) ** 2
-    return total
+    return len(sched.invariant_degrees) + sum(d.dimension for d in sched.minor_spaces)
 
 
 def cmd_generators(args) -> int:
@@ -198,10 +193,10 @@ def cmd_generators(args) -> int:
             }
         )
     for d in sched.minor_spaces:
-        basis = minor_sum_basis(n, d.i, d.p)
+        basis = layer_basis(n, d.i, d.p)
         families.append(
             {
-                "family": f"V_{{{d.i},{d.p}}}",
+                "family": f"U_({d.i},{d.p})",
                 "i": d.i,
                 "p": d.p,
                 "degree": d.degree,
@@ -469,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=("auto", "exact", "modular"),
             default="auto",
-            help="elimination backend (auto switches on the nonzero-count threshold)",
+            help="elimination backend (auto goes modular per weight block past the nonzero-count threshold)",
         )
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="resource refusal bound")

@@ -1,10 +1,10 @@
 """Incremental sparse Gaussian elimination over Q or GF(p).
 
 Vectors are dicts mapping column keys to coefficients.  Column keys can be
-anything hashable; a `sort_key` callable supplies the total order used for
-pivot selection (largest key is the pivot).  Basis rows are kept monic with
-the pivot as their largest column, so reduction strictly decreases the
-leading key and terminates.
+anything hashable; a `sort_key` callable maps each to a number giving the
+total order used for pivot selection (largest key is the pivot).  Basis
+rows are kept monic with the pivot as their largest column, so reduction
+strictly decreases the leading key and terminates.
 
 Over Q the coefficients are Fractions; with `prime=p` set, all arithmetic
 is done mod p (basis rows store ints in [0, p)).
@@ -37,10 +37,7 @@ class TriangularBasis:
         return k
 
     def _negkey(self, col):
-        k = self._key(col)
-        if isinstance(k, tuple):
-            return tuple(-x if isinstance(x, int) else tuple(-y for y in x) for x in k)
-        return -k
+        return -self._key(col)
 
     @property
     def rank(self) -> int:

@@ -4,10 +4,19 @@ minimality / redundancy verification for generator schedules.
 Membership of a homogeneous f in a homogeneous ideal is decided entirely in
 degree deg(f): the rows of the graded piece are all products g * m of a
 generator with a monomial of complementary degree, and f is a member iff
-its coefficient vector lies in their row span.  Small systems are run with
-exact rational elimination; past a nonzero-count threshold the rank work is
-done modulo three random 31-bit primes, and a member verdict is only issued
-after an exact rational back-solve of the modular solution.
+its coefficient vector lies in their row span.
+
+The diagonal torus scales x_rc by s_r / s_c, so a monomial has weight
+sum e * (e_r - e_c) over its x_rc^e, and every prefixed minor sum
+(P,J|Q,J) has the single weight e_P - e_Q.  When every generator is a weight
+vector, the piece splits exactly into weight blocks, the rows g * m with
+wt(g) + wt(m) = w, and f is a member iff each of its weight components lies
+in its own block.  Blocks are enumerated directly and eliminated on first
+use, so a query touches only the blocks its candidate meets.  A block is
+eliminated with exact rational arithmetic unless it has more than
+EXACT_NONZERO_LIMIT nonzeros; then the rank work is done modulo three random
+31-bit primes, and a member verdict is only issued after an exact rational
+back-solve of the modular solution.
 
 Verdicts carry re-verifiable certificates: an exact coefficient combination
 for members, and for non-members either a linear functional vanishing on
@@ -20,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import TriangularBasis, apply_functional
 from .minors import principal_minor_sum
@@ -31,7 +41,7 @@ from .partitions import (
     minor_space_vanishes,
     necessity_witness,
 )
-from .polyring import Polynomial, monomials_of_degree, term_key
+from .polyring import Polynomial, mon_weight, monomials_of_degree, monomials_of_weight, term_key
 from .schur import layer_basis
 
 MEMBER = "member"
@@ -74,6 +84,12 @@ def random_prime31(rng: random.Random) -> int:
             return candidate
 
 
+def _torus_weight(g: Polynomial) -> tuple | None:
+    """The common torus weight of g's terms, or None if they differ."""
+    weights = {mon_weight(g.n, mon) for mon in g.terms}
+    return weights.pop() if len(weights) == 1 else None
+
+
 def _mon_records(mon) -> list[list[int]]:
     return [[r, c, e] for (r, c), e in mon]
 
@@ -106,77 +122,144 @@ class MembershipVerdict:
         return out
 
 
-class GradedPiece:
-    """The degree-d slice of the ideal generated by homogeneous polynomials,
-    as an incrementally eliminated sparse row space.  Reusable across many
-    membership queries against the same generators and degree."""
+class _Block:
+    """One torus-weight block of a graded piece: its rows g * m in piece
+    order, eliminated exactly, or modulo `primes` when any are given."""
 
-    def __init__(self, n: int, gens, degree: int, mode: str = "auto", seed: int = 0):
-        if mode not in ("auto", "exact", "modular"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.n = n
-        self.degree = degree
-        self.gens = tuple(gens)
-        for g in self.gens:
-            if g.n != n:
-                raise ValueError("generator over wrong matrix size")
-        self.rows: list[tuple[tuple, dict]] = []
-        for gi, g in enumerate(self.gens):
-            if g.is_zero() or g.degree > degree:
-                continue
-            for m in monomials_of_degree(n, degree - g.degree):
-                self.rows.append(((gi, m), g.times_monomial(m).terms))
-        self.nonzeros = sum(len(t) for _, t in self.rows)
-        self._key = lambda mon: term_key(n, mon)
-        self.path = (
-            "exact"
-            if mode == "exact" or (mode == "auto" and self.nonzeros <= EXACT_NONZERO_LIMIT)
-            else "modular"
-        )
-        self.primes: tuple[int, ...] = ()
+    def __init__(self, rows, nonzeros: int, key, primes: tuple[int, ...]):
+        self.rows = rows
+        self.nonzeros = nonzeros
+        self.key = key
+        self.path = "modular" if primes else "exact"
         self._lift_basis = None
-        if self.path == "exact":
-            basis = TriangularBasis(self._key, track=True)
-            for tag, terms in self.rows:
+        if not primes:
+            basis = TriangularBasis(key, track=True)
+            for tag, terms in rows:
                 basis.insert(terms, tag)
-            self._basis = basis
+            self.basis = basis
         else:
-            rng = random.Random(seed)
-            self.primes = tuple(random_prime31(rng) for _ in range(PRIME_COUNT))
             self._mod_bases = []
             self._selected: set | None = None
-            for p in self.primes:
-                b = TriangularBasis(self._key, prime=p)
+            for p in primes:
+                b = TriangularBasis(key, prime=p)
                 selected = set()
-                for tag, terms in self.rows:
+                for tag, terms in rows:
                     if b.insert(terms, None):
                         selected.add(tag)
                 self._mod_bases.append(b)
                 if self._selected is None:
                     self._selected = selected
 
-    @property
-    def rank(self) -> int:
-        if self.path == "exact":
-            return self._basis.rank
-        return self._mod_bases[0].rank
-
-    def _lift(self) -> TriangularBasis:
+    def lift(self) -> TriangularBasis:
         # exact elimination restricted to the rows independent mod the first
         # prime; independence mod p implies independence over Q
         if self._lift_basis is None:
-            basis = TriangularBasis(self._key, track=True)
+            basis = TriangularBasis(self.key, track=True)
             for tag, terms in self.rows:
                 if tag in self._selected:
                     basis.insert(terms, tag)
             self._lift_basis = basis
         return self._lift_basis
 
-    def _combination(self, basis: TriangularBasis, combo) -> tuple:
-        prov = basis.provenance_of(combo)
-        items = [(gi, mon, Fraction(c)) for (gi, mon), c in prov.items() if c]
-        items.sort(key=lambda t: (t[0], self._key(t[1])))
-        return tuple(items)
+    def reduce(self, terms):
+        """(basis, residual, combo) of an exact reduction of `terms`, or None
+        when some prime already shows they lie outside the row span."""
+        if self.path == "exact":
+            return (self.basis, *self.basis.reduce(terms))
+        for b in self._mod_bases:
+            residual, _ = b.reduce(terms)
+            if residual:
+                return None
+        lift = self.lift()
+        return (lift, *lift.reduce(terms))
+
+
+class GradedPiece:
+    """The degree-d slice of the ideal generated by homogeneous polynomials,
+    split into torus-weight blocks that are built and eliminated on first
+    use.  Reusable across many membership queries against the same
+    generators and degree.
+
+    When every generator is torus-homogeneous, the rows g * m of weight w
+    (those with wt(g) + wt(m) = w) span exactly the weight-w part of the
+    piece, so a candidate is a member iff each of its weight components
+    lies in its own block.  If some generator is not homogeneous, every
+    monomial gets weight () and the one block is the whole piece.
+    """
+
+    def __init__(self, n: int, gens, degree: int, mode: str = "auto", seed: int = 0):
+        if mode not in ("auto", "exact", "modular"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.n = n
+        self.degree = degree
+        self.mode = mode
+        self.seed = seed
+        self.gens = tuple(gens)
+        for g in self.gens:
+            if g.n != n:
+                raise ValueError("generator over wrong matrix size")
+        self._row_gens = [
+            (gi, g, _torus_weight(g))
+            for gi, g in enumerate(self.gens)
+            if not g.is_zero() and g.degree <= degree
+        ]
+        self._graded = all(w is not None for _, _, w in self._row_gens)
+        self._blocks: dict[tuple, _Block] = {}
+        self._key = lambda mon: term_key(n, mon)
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        rng = random.Random(self.seed)
+        return tuple(random_prime31(rng) for _ in range(PRIME_COUNT))
+
+    def _weight(self, mon) -> tuple:
+        """The block a monomial belongs to."""
+        return mon_weight(self.n, mon) if self._graded else ()
+
+    def _block_rows(self, w: tuple) -> list[tuple[tuple, dict]]:
+        """The rows ((gen index, monomial), terms) of weight w, in the order
+        of the whole piece: by generator, then descending multiplier."""
+        rows = []
+        for gi, g, gw in self._row_gens:
+            k = self.degree - g.degree
+            if self._graded:
+                mons = monomials_of_weight(self.n, k, tuple(a - b for a, b in zip(w, gw)))
+            else:
+                mons = monomials_of_degree(self.n, k)
+            for m in mons:
+                rows.append(((gi, m), g.times_monomial(m).terms))
+        return rows
+
+    def _block(self, w: tuple) -> _Block:
+        block = self._blocks.get(w)
+        if block is None:
+            rows = self._block_rows(w)
+            nonzeros = sum(len(t) for _, t in rows)
+            modular = self.mode == "modular" or (
+                self.mode == "auto" and nonzeros > EXACT_NONZERO_LIMIT
+            )
+            block = _Block(rows, nonzeros, self._key, self.primes if modular else ())
+            self._blocks[w] = block
+        return block
+
+    # Totals over the blocks built so far; a fresh piece has built none.
+
+    @property
+    def rows(self) -> list[tuple[tuple, dict]]:
+        return [row for b in self._blocks.values() for row in b.rows]
+
+    @property
+    def nonzeros(self) -> int:
+        return sum(b.nonzeros for b in self._blocks.values())
+
+    @property
+    def path(self) -> str:
+        """The modular path when the mode forces it or some block built so
+        far took it, else the exact path."""
+        modular = self.mode == "modular" or any(
+            b.path == "modular" for b in self._blocks.values()
+        )
+        return "modular" if modular else "exact"
 
     def contains(self, f: Polynomial) -> MembershipVerdict:
         if f.n != self.n:
@@ -185,30 +268,47 @@ class GradedPiece:
             return MembershipVerdict(MEMBER, combination=())
         if f.degree != self.degree:
             raise ValueError(f"candidate degree {f.degree} != piece degree {self.degree}")
-        if self.path == "exact":
-            residual, combo = self._basis.reduce(f.terms)
-            if not residual:
-                return MembershipVerdict(MEMBER, combination=self._combination(self._basis, combo))
-            lead = max(residual, key=self._key)
-            lam = self._basis.annihilator(lead)
+        components: dict[tuple, dict] = {}
+        for mon, c in f.terms.items():
+            components.setdefault(self._weight(mon), {})[mon] = c
+        combination = []
+        free: dict = {}  # residual column of an exact block -> that block's basis
+        modular = unresolved = False
+        note = None
+        for w, terms in components.items():
+            block = self._block(w)
+            modular = modular or block.path == "modular"
+            reduced = block.reduce(terms)
+            if reduced is None:
+                unresolved = True
+                continue
+            basis, residual, combo = reduced
+            if residual and block.path == "modular":
+                unresolved, note = True, "exact lift failed"
+            elif residual:
+                free.update(dict.fromkeys(residual, basis))
+            else:
+                for (gi, mon), c in basis.provenance_of(combo).items():
+                    if c:
+                        combination.append((gi, mon, Fraction(c)))
+        if free:
+            lead = max(free, key=self._key)
+            lam = free[lead].annihilator(lead)
             functional = tuple(sorted(lam.items(), key=lambda t: self._key(t[0]), reverse=True))
             return MembershipVerdict(NON_MEMBER, functional=functional)
-        for b in self._mod_bases:
-            residual, _ = b.reduce(f.terms)
-            if residual:
-                return MembershipVerdict(CONSISTENT_NON_MEMBER, primes=self.primes)
-        lift = self._lift()
-        residual, combo = lift.reduce(f.terms)
-        if residual:
-            return MembershipVerdict(
-                CONSISTENT_NON_MEMBER, primes=self.primes, note="exact lift failed"
-            )
+        if unresolved:
+            return MembershipVerdict(CONSISTENT_NON_MEMBER, primes=self.primes, note=note)
+        combination.sort(key=lambda t: (t[0], self._key(t[1])))
         return MembershipVerdict(
-            MEMBER, combination=self._combination(lift, combo), primes=self.primes
+            MEMBER, combination=tuple(combination), primes=self.primes if modular else None
         )
 
     def verify(self, f: Polynomial, verdict: MembershipVerdict) -> bool:
-        """Re-check a verdict's certificate by independent exact arithmetic."""
+        """Re-check a verdict's certificate by independent exact arithmetic.
+
+        A functional is checked against every row of each block its support
+        meets, rebuilt from the generators; rows of other blocks share no
+        monomial with it."""
         if verdict.status == MEMBER:
             acc: dict = {}
             for gi, mon, coeff in verdict.combination:
@@ -223,7 +323,11 @@ class GradedPiece:
             lam = dict(verdict.functional)
             if apply_functional(lam, f.terms) == 0:
                 return False
-            return all(apply_functional(lam, terms) == 0 for _, terms in self.rows)
+            return all(
+                apply_functional(lam, terms) == 0
+                for w in {self._weight(m) for m in lam}
+                for _, terms in self._block_rows(w)
+            )
         return verdict.status == CONSISTENT_NON_MEMBER
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .minors import minor_sum_basis
@@ -164,10 +165,15 @@ class OrbitSample:
     seed: int
 
 
+@lru_cache(maxsize=16)
 def sample_orbit(mu: Partition, seed: int) -> OrbitSample:
     """Conjugate the Jordan matrix by a seeded random integer matrix with
     entries in [-5, 5], resampled until invertible; the Jordan type of the
-    result is verified exactly (kernel dimensions of all powers)."""
+    result is verified exactly (kernel dimensions of all powers).
+
+    Samples are immutable, so the few most recent are kept and shared: a
+    vanishing sweep evaluates every family of one partition on the same
+    (mu, seed) points."""
     n = mu.n
     rng = random.Random(seed)
     jordan = jordan_matrix(mu)

@@ -10,7 +10,8 @@ exact Fraction (or int when the matrix has integer entries).
 A monomial is stored as a tuple of ((row, col), exponent) pairs sorted by
 (row, col) with all exponents positive.  The canonical term order is graded
 lexicographic on the exponent vector read in (row, col) order; serialization
-lists terms in descending canonical order.
+lists terms in descending canonical order.  Conjugation by a diagonal
+matrix gives every monomial a torus weight in Z^n (`mon_weight`).
 """
 
 from __future__ import annotations
@@ -38,12 +39,31 @@ def mon_mul(a: Mon, b: Mon) -> Mon:
     return tuple(sorted(exps.items()))
 
 
-def term_key(n: int, mon: Mon):
-    """Graded-lex sort key: (total degree, dense exponent vector)."""
-    dense = [0] * (n * n)
+def term_key(n: int, mon: Mon) -> int:
+    """Graded-lex sort key packed into one int: the total degree, then the
+    exponent digits in (row, col) order.  Digits are `d.bit_length()` bits
+    wide for degree d, wide enough for any exponent, and a higher degree
+    both raises the leading digit and widens the digits, so comparing keys
+    compares (degree, dense exponent vector) lexicographically."""
+    d = mon_degree(mon)
+    bits = d.bit_length()
+    top = n * n
+    key = d << (top * bits)
     for (r, c), e in mon:
-        dense[(r - 1) * n + (c - 1)] = e
-    return (mon_degree(mon), tuple(dense))
+        key |= e << ((top - (r - 1) * n - c) * bits)
+    return key
+
+
+def mon_weight(n: int, mon: Mon) -> tuple[int, ...]:
+    """Torus weight of a monomial: sum of e * (e_r - e_c) over its x_rc^e.
+
+    Conjugation by diag(s_1, ..., s_n) scales x_rc by s_r / s_c, so a
+    monomial of weight w is scaled by prod s_k^w_k."""
+    w = [0] * n
+    for (r, c), e in mon:
+        w[r - 1] += e
+        w[c - 1] -= e
+    return tuple(w)
 
 
 def monomials_of_degree(n: int, d: int) -> list[Mon]:
@@ -60,6 +80,57 @@ def monomials_of_degree(n: int, d: int) -> list[Mon]:
             exps[v] = exps.get(v, 0) + 1
         out.append(tuple(sorted(exps.items())))
     out.sort(key=lambda m: term_key(n, m), reverse=True)
+    return out
+
+
+def monomials_of_weight(n: int, d: int, weight) -> list[Mon]:
+    """The degree-d monomials of torus weight `weight` (n ints), in the
+    descending canonical order of `monomials_of_degree`.
+
+    Enumerated directly, choosing exponents variable by variable in (row,
+    col) order, largest first.  A branch is cut as soon as the weight still
+    to be made up is out of reach: each further unit of degree lowers the
+    sum of its positive parts by at most one, a positive part needs a
+    variable left in its row, and a negative part one left in its column.
+    """
+    rem = list(weight)
+    chosen: list[tuple[Var, int]] = []
+    out: list[Mon] = []
+
+    def reachable(k: int, left: int) -> bool:
+        # variables k, k+1, ... (row-major, 0-based) are still to be chosen
+        row, col = divmod(k, n)
+        if sum(v for v in rem if v > 0) > left:
+            return False
+        for j, v in enumerate(rem):
+            if v > 0 and j < row:
+                return False
+            if v < 0 and row == n - 1 and j < col:
+                return False
+        return True
+
+    def extend(k: int, left: int):
+        if left == 0:
+            if not any(rem):
+                out.append(tuple(chosen))
+            return
+        if k == n * n:
+            return
+        r, c = divmod(k, n)
+        for e in range(left, 0, -1):
+            rem[r] -= e
+            rem[c] += e
+            if reachable(k + 1, left - e):
+                chosen.append(((r + 1, c + 1), e))
+                extend(k + 1, left - e)
+                chosen.pop()
+            rem[r] += e
+            rem[c] -= e
+        if reachable(k + 1, left):
+            extend(k + 1, left)
+
+    if reachable(0, d):
+        extend(0, d)
     return out
 
 

@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 
 from orbitideals.cli import main, render_diagram
-from orbitideals.partitions import parse_partition
+from orbitideals.partitions import minimal_schedule, parse_partition, partitions_of
 
 
 def run(capsys, *argv):
@@ -97,8 +97,24 @@ def test_generators_writes_file(tmp_path, monkeypatch, capsys):
     fams = {f["family"]: f for f in data["families"]}
     assert fams["t_1"]["count"] == 1
     assert fams["t_2"]["count"] == 1
-    assert fams["V_{1,2}"]["count"] == 9
-    assert all(rec["coeff"].lstrip("-").isdigit() for rec in fams["V_{1,2}"]["polynomials"][0])
+    assert fams["U_(1,2)"]["count"] == 8  # the layer, not the 9-dimensional depth-1 span
+    assert all(rec["coeff"].lstrip("-").isdigit() for rec in fams["U_(1,2)"]["polynomials"][0])
+
+
+def test_generators_family_counts_match_schedule(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            code, out, _ = run(capsys, "generators", "--partition", str(mu), "--json")
+            assert code == 0
+            report = validate_report(out)
+            sched = minimal_schedule(mu)
+            want = [(f"t_{p}", 0, p, 1) for p in sched.invariant_degrees] + [
+                (f"U_({d.i},{d.p})", d.i, d.p, d.dimension) for d in sched.minor_spaces
+            ]
+            got = [(f["family"], f["i"], f["p"], f["count"]) for f in report["families"]]
+            assert got == want, mu
+            assert all(len(f["polynomials"]) == f["count"] for f in report["families"])
 
 
 def test_generators_refusal(capsys):

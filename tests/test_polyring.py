@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitideals.orbit import RationalMatrix
-from orbitideals.polyring import Polynomial, mon_mul, monomials_of_degree, term_key
+from orbitideals.polyring import (
+    Polynomial,
+    mon_mul,
+    mon_weight,
+    monomials_of_degree,
+    monomials_of_weight,
+    term_key,
+)
 
 
 def x(n, r, c):
@@ -122,6 +129,47 @@ def test_monomials_of_degree_counts():
     assert len(monomials_of_degree(3, 1)) == 9
     assert monomials_of_degree(2, 0) == [()]
     assert mon_mul((), (((1, 1), 1),)) == (((1, 1), 1),)
+
+
+def tuple_term_key(n, mon):
+    """Reference graded-lex key: (total degree, dense exponent vector)."""
+    dense = [0] * (n * n)
+    for (r, c), e in mon:
+        dense[(r - 1) * n + (c - 1)] = e
+    return (sum(dense), tuple(dense))
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(1, 9)), max_size=6),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(1, 9)), max_size=6),
+)
+def test_packed_term_key_keeps_graded_lex_order(n, a, b):
+    def mon(pairs):
+        exps = {}
+        for idx, e in pairs:
+            var = divmod(idx % (n * n), n)
+            exps[(var[0] + 1, var[1] + 1)] = e
+        return tuple(sorted(exps.items()))
+
+    ma, mb = mon(a), mon(b)
+    ka, kb = term_key(n, ma), term_key(n, mb)
+    assert isinstance(ka, int)
+    ta, tb = tuple_term_key(n, ma), tuple_term_key(n, mb)
+    assert (ka < kb) == (ta < tb) and (ka == kb) == (ta == tb)
+
+
+def test_monomials_of_weight_is_the_filtered_degree_list():
+    for n in range(1, 4):
+        for d in range(5):
+            by_weight: dict = {}
+            for m in monomials_of_degree(n, d):
+                by_weight.setdefault(mon_weight(n, m), []).append(m)
+            for w, mons in by_weight.items():
+                assert monomials_of_weight(n, d, w) == mons, (n, d, w)
+    assert monomials_of_weight(3, 2, (3, -3, 0)) == []  # more weight than degree
+    assert monomials_of_weight(2, 1, (1, 0)) == []  # weights sum to zero
 
 
 def test_str_is_stable():
