@@ -44,7 +44,6 @@ class RunConfig:
     n: int | None
     seed: int
     samples: int
-    mode: str
     output: str
     max_n: int
 
@@ -58,7 +57,6 @@ def _config_from_args(args) -> RunConfig:
         n=getattr(args, "n", None),
         seed=getattr(args, "seed", 0),
         samples=getattr(args, "samples", 10),
-        mode=getattr(args, "mode", "auto"),
         output="json" if getattr(args, "json", False) else "text",
         max_n=getattr(args, "max_n", DEFAULT_MAX_N),
     )
@@ -325,7 +323,7 @@ def cmd_membership(args) -> int:
         for p in range(1, n):
             for i in range(1, p + 1):
                 gens = minor_sum_basis(n, i, p)
-                piece = GradedPiece(n, gens, p + 1, mode=args.mode, seed=args.seed)
+                piece = GradedPiece(n, gens, p + 1)
                 statuses = [piece.contains(c).status for c in minor_sum_basis(n, i, p + 1)]
                 all_member = all(s == MEMBER for s in statuses)
                 ok = ok and all_member
@@ -357,7 +355,7 @@ def cmd_membership(args) -> int:
         return 2
     i = args.i
     if i in excluded_depths(mu):
-        rep = verify_redundant(mu, i, mode=args.mode, seed=args.seed)
+        rep = verify_redundant(mu, i)
         report = {
             "report": "membership",
             "config": config.as_dict(),
@@ -416,7 +414,7 @@ def cmd_verify(args) -> int:
                 ok = ok and not r.all_zero
     minimality = None
     if run_minimal:
-        minimality = verify_minimal(mu, samples=args.samples, seed=args.seed, mode=args.mode)
+        minimality = verify_minimal(mu, samples=args.samples, seed=args.seed)
         ok = ok and minimality.ok
     report = {
         "report": "verify",
@@ -460,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="ambient matrix size (rank varieties)")
         p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
         p.add_argument("--samples", type=int, default=10, help="orbit samples per check (default 10)")
-        p.add_argument(
-            "--mode",
-            choices=("auto", "exact", "modular"),
-            default="auto",
-            help="elimination backend (auto goes modular per weight block past the nonzero-count threshold)",
-        )
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="resource refusal bound")
 

@@ -1,13 +1,11 @@
-"""Incremental sparse Gaussian elimination over Q or GF(p).
+"""Incremental sparse Gaussian elimination over Q.
 
 Vectors are dicts mapping column keys to coefficients.  Column keys can be
 anything hashable; a `sort_key` callable maps each to a number giving the
 total order used for pivot selection (largest key is the pivot).  Basis
 rows are kept monic with the pivot as their largest column, so reduction
-strictly decreases the leading key and terminates.
-
-Over Q the coefficients are Fractions; with `prime=p` set, all arithmetic
-is done mod p (basis rows store ints in [0, p)).
+strictly decreases the leading key and terminates.  Basis rows hold
+Fractions.
 """
 
 from __future__ import annotations
@@ -18,11 +16,10 @@ from fractions import Fraction
 
 class TriangularBasis:
     """Row-reduced spanning set supporting rank queries, membership
-    reduction and (over Q) provenance tracking for exact certificates."""
+    reduction and provenance tracking for exact certificates."""
 
-    def __init__(self, sort_key, prime=None, track=False):
+    def __init__(self, sort_key, track=False):
         self.sort_key = sort_key
-        self.prime = prime
         self.track = track
         self.rows: dict = {}  # pivot column -> {column: coeff}, monic at pivot
         self.prov: dict = {}  # pivot column -> {tag: coeff over original inserts}
@@ -54,15 +51,7 @@ class TriangularBasis:
         Returns (residual, combo): residual is a dict free of pivot columns,
         combo maps pivot -> coefficient with vec = residual + sum(combo * row).
         """
-        p = self.prime
-        if p is not None:
-            work = {}
-            for col, v in vec.items():
-                v %= p
-                if v:
-                    work[col] = v
-        else:
-            work = {col: v for col, v in vec.items() if v}
+        work = {col: v for col, v in vec.items() if v}
         heap = [(self._negkey(col), col) for col in work]
         heapq.heapify(heap)
         residual: dict = {}
@@ -81,10 +70,7 @@ class TriangularBasis:
             for col2, v in row.items():
                 if col2 == col:
                     continue
-                if p is not None:
-                    nv = (work.get(col2, 0) - c * v) % p
-                else:
-                    nv = work.get(col2, 0) - c * v
+                nv = work.get(col2, 0) - c * v
                 if nv:
                     if col2 not in work:
                         heapq.heappush(heap, (self._negkey(col2), col2))
@@ -103,18 +89,9 @@ class TriangularBasis:
         if not residual:
             return False
         pivot = max(residual, key=self._key)
-        lead = residual[pivot]
-        p = self.prime
-        if p is not None:
-            inv = pow(lead, -1, p)
-            row = {col: (v * inv) % p for col, v in residual.items()}
-        else:
-            lead = Fraction(lead)
-            row = {col: Fraction(v) / lead for col, v in residual.items()}
-        self.rows[pivot] = row
+        lead = Fraction(residual[pivot])
+        self.rows[pivot] = {col: Fraction(v) / lead for col, v in residual.items()}
         if self.track:
-            if p is not None:
-                raise ValueError("provenance tracking requires exact mode")
             prov = {tag: Fraction(1) / lead}
             for piv, c in combo.items():
                 for t, pc in self.prov[piv].items():
@@ -142,9 +119,7 @@ class TriangularBasis:
 
     def annihilator(self, free_column) -> dict:
         """Linear functional vanishing on the row span with value 1 on
-        `free_column` (which must not be a pivot).  Exact mode only."""
-        if self.prime is not None:
-            raise ValueError("annihilator requires exact mode")
+        `free_column` (which must not be a pivot)."""
         if free_column in self.rows:
             raise ValueError("column lies under a pivot")
         lam: dict = {free_column: Fraction(1)}

@@ -11,12 +11,8 @@ sum e * (e_r - e_c) over its x_rc^e, and every prefixed minor sum
 (P,J|Q,J) has the single weight e_P - e_Q.  When every generator is a weight
 vector, the piece splits exactly into weight blocks, the rows g * m with
 wt(g) + wt(m) = w, and f is a member iff each of its weight components lies
-in its own block.  Blocks are enumerated directly and eliminated on first
-use, so a query touches only the blocks its candidate meets.  A block is
-eliminated with exact rational arithmetic unless it has more than
-EXACT_NONZERO_LIMIT nonzeros; then the rank work is done modulo three random
-31-bit primes, and a member verdict is only issued after an exact rational
-back-solve of the modular solution.
+in its own block.  Blocks are enumerated directly and eliminated over Q on
+first use, so a query touches only the blocks its candidate meets.
 
 Verdicts carry re-verifiable certificates: an exact coefficient combination
 for members, and for non-members either a linear functional vanishing on
@@ -26,10 +22,8 @@ generators vanish and the candidate does not.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .linalg import TriangularBasis, apply_functional
 from .minors import principal_minor_sum
@@ -46,42 +40,6 @@ from .schur import layer_basis
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
-CONSISTENT_NON_MEMBER = "consistent_non_member"
-
-EXACT_NONZERO_LIMIT = 100_000
-PRIME_COUNT = 3
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for p in _MR_BASES:
-        if m % p == 0:
-            return m == p
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime31(rng: random.Random) -> int:
-    while True:
-        candidate = rng.randrange(2**30, 2**31) | 1
-        if _is_prime(candidate):
-            return candidate
 
 
 def _torus_weight(g: Polynomial) -> tuple | None:
@@ -101,8 +59,6 @@ class MembershipVerdict:
     status: str
     combination: tuple | None = None  # ((gen index, monomial, Fraction), ...)
     functional: tuple | None = None  # ((monomial, Fraction), ...)
-    primes: tuple[int, ...] | None = None
-    note: str | None = None
 
     def as_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -115,63 +71,19 @@ class MembershipVerdict:
             out["functional"] = [
                 {"monomial": _mon_records(m), "coeff": str(c)} for m, c in self.functional
             ]
-        if self.primes is not None:
-            out["primes"] = list(self.primes)
-        if self.note is not None:
-            out["note"] = self.note
         return out
 
 
 class _Block:
     """One torus-weight block of a graded piece: its rows g * m in piece
-    order, eliminated exactly, or modulo `primes` when any are given."""
+    order, and their exact row-reduced basis with provenance."""
 
-    def __init__(self, rows, nonzeros: int, key, primes: tuple[int, ...]):
+    def __init__(self, rows, nonzeros: int, key):
         self.rows = rows
         self.nonzeros = nonzeros
-        self.key = key
-        self.path = "modular" if primes else "exact"
-        self._lift_basis = None
-        if not primes:
-            basis = TriangularBasis(key, track=True)
-            for tag, terms in rows:
-                basis.insert(terms, tag)
-            self.basis = basis
-        else:
-            self._mod_bases = []
-            self._selected: set | None = None
-            for p in primes:
-                b = TriangularBasis(key, prime=p)
-                selected = set()
-                for tag, terms in rows:
-                    if b.insert(terms, None):
-                        selected.add(tag)
-                self._mod_bases.append(b)
-                if self._selected is None:
-                    self._selected = selected
-
-    def lift(self) -> TriangularBasis:
-        # exact elimination restricted to the rows independent mod the first
-        # prime; independence mod p implies independence over Q
-        if self._lift_basis is None:
-            basis = TriangularBasis(self.key, track=True)
-            for tag, terms in self.rows:
-                if tag in self._selected:
-                    basis.insert(terms, tag)
-            self._lift_basis = basis
-        return self._lift_basis
-
-    def reduce(self, terms):
-        """(basis, residual, combo) of an exact reduction of `terms`, or None
-        when some prime already shows they lie outside the row span."""
-        if self.path == "exact":
-            return (self.basis, *self.basis.reduce(terms))
-        for b in self._mod_bases:
-            residual, _ = b.reduce(terms)
-            if residual:
-                return None
-        lift = self.lift()
-        return (lift, *lift.reduce(terms))
+        self.basis = TriangularBasis(key, track=True)
+        for tag, terms in rows:
+            self.basis.insert(terms, tag)
 
 
 class GradedPiece:
@@ -187,13 +99,11 @@ class GradedPiece:
     monomial gets weight () and the one block is the whole piece.
     """
 
-    def __init__(self, n: int, gens, degree: int, mode: str = "auto", seed: int = 0):
-        if mode not in ("auto", "exact", "modular"):
-            raise ValueError(f"unknown mode {mode!r}")
+    path = "exact"  # read by perfbench/layers.py until ROADMAP item 6 lands
+
+    def __init__(self, n: int, gens, degree: int):
         self.n = n
         self.degree = degree
-        self.mode = mode
-        self.seed = seed
         self.gens = tuple(gens)
         for g in self.gens:
             if g.n != n:
@@ -206,11 +116,6 @@ class GradedPiece:
         self._graded = all(w is not None for _, _, w in self._row_gens)
         self._blocks: dict[tuple, _Block] = {}
         self._key = lambda mon: term_key(n, mon)
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        rng = random.Random(self.seed)
-        return tuple(random_prime31(rng) for _ in range(PRIME_COUNT))
 
     def _weight(self, mon) -> tuple:
         """The block a monomial belongs to."""
@@ -234,11 +139,7 @@ class GradedPiece:
         block = self._blocks.get(w)
         if block is None:
             rows = self._block_rows(w)
-            nonzeros = sum(len(t) for _, t in rows)
-            modular = self.mode == "modular" or (
-                self.mode == "auto" and nonzeros > EXACT_NONZERO_LIMIT
-            )
-            block = _Block(rows, nonzeros, self._key, self.primes if modular else ())
+            block = _Block(rows, sum(len(t) for _, t in rows), self._key)
             self._blocks[w] = block
         return block
 
@@ -252,15 +153,6 @@ class GradedPiece:
     def nonzeros(self) -> int:
         return sum(b.nonzeros for b in self._blocks.values())
 
-    @property
-    def path(self) -> str:
-        """The modular path when the mode forces it or some block built so
-        far took it, else the exact path."""
-        modular = self.mode == "modular" or any(
-            b.path == "modular" for b in self._blocks.values()
-        )
-        return "modular" if modular else "exact"
-
     def contains(self, f: Polynomial) -> MembershipVerdict:
         if f.n != self.n:
             raise ValueError("candidate over wrong matrix size")
@@ -272,20 +164,11 @@ class GradedPiece:
         for mon, c in f.terms.items():
             components.setdefault(self._weight(mon), {})[mon] = c
         combination = []
-        free: dict = {}  # residual column of an exact block -> that block's basis
-        modular = unresolved = False
-        note = None
+        free: dict = {}  # residual column -> the basis of its block
         for w, terms in components.items():
-            block = self._block(w)
-            modular = modular or block.path == "modular"
-            reduced = block.reduce(terms)
-            if reduced is None:
-                unresolved = True
-                continue
-            basis, residual, combo = reduced
-            if residual and block.path == "modular":
-                unresolved, note = True, "exact lift failed"
-            elif residual:
+            basis = self._block(w).basis
+            residual, combo = basis.reduce(terms)
+            if residual:
                 free.update(dict.fromkeys(residual, basis))
             else:
                 for (gi, mon), c in basis.provenance_of(combo).items():
@@ -296,15 +179,13 @@ class GradedPiece:
             lam = free[lead].annihilator(lead)
             functional = tuple(sorted(lam.items(), key=lambda t: self._key(t[0]), reverse=True))
             return MembershipVerdict(NON_MEMBER, functional=functional)
-        if unresolved:
-            return MembershipVerdict(CONSISTENT_NON_MEMBER, primes=self.primes, note=note)
         combination.sort(key=lambda t: (t[0], self._key(t[1])))
-        return MembershipVerdict(
-            MEMBER, combination=tuple(combination), primes=self.primes if modular else None
-        )
+        return MembershipVerdict(MEMBER, combination=tuple(combination))
 
     def verify(self, f: Polynomial, verdict: MembershipVerdict) -> bool:
         """Re-check a verdict's certificate by independent exact arithmetic.
+        Only `member` and `non_member` verdicts carry a certificate; any
+        other status fails.
 
         A functional is checked against every row of each block its support
         meets, rebuilt from the generators; rows of other blocks share no
@@ -328,17 +209,15 @@ class GradedPiece:
                 for w in {self._weight(m) for m in lam}
                 for _, terms in self._block_rows(w)
             )
-        return verdict.status == CONSISTENT_NON_MEMBER
+        return False
 
 
-def ideal_contains(
-    f: Polynomial, gens, mode: str = "auto", seed: int = 0
-) -> MembershipVerdict:
+def ideal_contains(f: Polynomial, gens) -> MembershipVerdict:
     """Decide whether f lies in the ideal generated by `gens`."""
     gens = tuple(gens)
     if f.is_zero():
         return MembershipVerdict(MEMBER, combination=())
-    return GradedPiece(f.n, gens, f.degree, mode=mode, seed=seed).contains(f)
+    return GradedPiece(f.n, gens, f.degree).contains(f)
 
 
 # -- schedule verification ---------------------------------------------------
@@ -392,9 +271,7 @@ class RedundancyReport:
         }
 
 
-def verify_redundant(
-    mu: Partition, i: int, mode: str = "auto", seed: int = 0
-) -> RedundancyReport:
+def verify_redundant(mu: Partition, i: int) -> RedundancyReport:
     """Certify that the excluded depth-i space lies in the ideal of the
     invariants and the scheduled spaces of smaller depth."""
     if i not in excluded_depths(mu):
@@ -405,7 +282,7 @@ def verify_redundant(
         return RedundancyReport(mu, i, p, True, (), (), True)
     labels, gens = scheduled_generators(mu, before_depth=i)
     candidates = layer_basis(n, i, p)
-    piece = GradedPiece(n, gens, p, mode=mode, seed=seed)
+    piece = GradedPiece(n, gens, p)
     verdicts = tuple(piece.contains(c) for c in candidates)
     all_member = all(v.status == MEMBER for v in verdicts)
     return RedundancyReport(mu, i, p, False, tuple(labels), verdicts, all_member)
@@ -441,7 +318,6 @@ class MinimalityReport:
     n: int
     samples: int
     seed: int
-    mode: str
     checks: tuple[MinimalityCheck, ...]
     ok: bool
 
@@ -451,7 +327,6 @@ class MinimalityReport:
             "n": self.n,
             "samples": self.samples,
             "seed": self.seed,
-            "mode": self.mode,
             "checks": [c.as_dict() for c in self.checks],
             "ok": self.ok,
         }
@@ -528,9 +403,7 @@ def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
     return candidate.evaluate(point) != 0
 
 
-def verify_minimal(
-    mu: Partition, samples: int = 10, seed: int = 0, mode: str = "auto"
-) -> MinimalityReport:
+def verify_minimal(mu: Partition, samples: int = 10, seed: int = 0) -> MinimalityReport:
     """Verify the minimal schedule end to end at desk scale.
 
     Scheduled minor spaces get vanishing-point non-membership certificates
@@ -551,8 +424,8 @@ def verify_minimal(
         others = [
             g for lbl, g in zip(labels, gens) if lbl != f"t_{p}"
         ]
-        verdict = ideal_contains(principal_minor_sum(n, p), others, mode=mode, seed=seed)
-        ok = verdict.status in (NON_MEMBER, CONSISTENT_NON_MEMBER)
+        verdict = ideal_contains(principal_minor_sum(n, p), others)
+        ok = verdict.status == NON_MEMBER
         checks.append(
             MinimalityCheck(
                 "invariant", 0, p, NON_MEMBER, verdict.status, ok, verdict.as_dict()
@@ -560,7 +433,7 @@ def verify_minimal(
         )
 
     for i in excluded_depths(mu):
-        report = verify_redundant(mu, i, mode=mode, seed=seed)
+        report = verify_redundant(mu, i)
         checks.append(
             MinimalityCheck(
                 "excluded",
@@ -573,6 +446,4 @@ def verify_minimal(
             )
         )
 
-    return MinimalityReport(
-        mu, n, samples, seed, mode, tuple(checks), all(c.ok for c in checks)
-    )
+    return MinimalityReport(mu, n, samples, seed, tuple(checks), all(c.ok for c in checks))

@@ -157,17 +157,17 @@ def test_criterion_6_redundancy():
     for n in range(2, 5):
         for mu in partitions_of(n):
             for i in excluded_depths(mu):
-                report = verify_redundant(mu, i, mode="exact")
+                report = verify_redundant(mu, i)
                 assert report.all_member, (mu, i)
                 for cand, verdict in zip(
                     minor_sum_basis(mu.n, i, report.p), report.verdicts
                 ):
                     assert verdict.status == MEMBER
     # at n <= 4 every excluded space is zero (vacuously generated); the
-    # smallest nonzero excluded space is depth 2 of (2,2,1) at n=5, run with
-    # the modular path to exercise the exact rational back-solve
+    # smallest nonzero excluded space is depth 2 of (2,2,1) at n=5, whose
+    # member certificates are rechecked below against a fresh piece
     mu = Partition((2, 2, 1))
-    report = verify_redundant(mu, 2, mode="modular", seed=0)
+    report = verify_redundant(mu, 2)
     assert not report.zero_space
     assert len(report.verdicts) == 75
     assert report.all_member
@@ -175,7 +175,7 @@ def test_criterion_6_redundancy():
     from orbitideals.schur import layer_basis
 
     _, gens = scheduled_generators(mu, before_depth=2)
-    piece = GradedPiece(5, gens, 3, mode="exact")
+    piece = GradedPiece(5, gens, 3)
     for cand, verdict in zip(layer_basis(5, 2, 3), report.verdicts):
         assert piece.verify(cand, verdict)  # exact recombination of the certificate
     elapsed = time.time() - t0
@@ -186,7 +186,7 @@ def test_criterion_6_redundancy():
 def test_criterion_7_size_monotonicity():
     t0 = time.time()
     # the explicit n=3 case
-    piece = GradedPiece(3, minor_sum_basis(3, 1, 2), 3, mode="exact")
+    piece = GradedPiece(3, minor_sum_basis(3, 1, 2), 3)
     for cand in minor_sum_basis(3, 1, 3):
         verdict = piece.contains(cand)
         assert verdict.status == MEMBER
@@ -195,7 +195,7 @@ def test_criterion_7_size_monotonicity():
     for n in (2, 3, 4):
         for p in range(1, n):
             for i in range(1, p + 1):
-                piece = GradedPiece(n, minor_sum_basis(n, i, p), p + 1, mode="exact")
+                piece = GradedPiece(n, minor_sum_basis(n, i, p), p + 1)
                 for cand in minor_sum_basis(n, i, p + 1):
                     verdict = piece.contains(cand)
                     assert verdict.status == MEMBER, (n, i, p)

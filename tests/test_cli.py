@@ -218,6 +218,7 @@ def test_verify_byte_identical(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["schedule", "--bogus"]) == 2
+    assert main(["verify", "--partition", "2,2", "--mode", "exact"]) == 2
 
 
 def test_text_and_json_share_facts(capsys):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from orbitideals.linalg import TriangularBasis, apply_functional
 
 
-def make_basis(prime=None, track=False):
-    return TriangularBasis(lambda col: col, prime=prime, track=track)
+def make_basis(track=False):
+    return TriangularBasis(lambda col: col, track=track)
 
 
 def test_insert_and_rank():
@@ -68,18 +68,6 @@ def test_annihilator_requires_free_column():
     basis.insert({1: 1})
     with pytest.raises(ValueError):
         basis.annihilator(1)
-
-
-def test_modular_basis():
-    p = 1_000_003
-    basis = make_basis(prime=p)
-    assert basis.insert({0: 1, 1: p})  # second entry vanishes mod p
-    assert basis.rows[0] == {0: 1}
-    assert not basis.insert({0: p - 1})
-    assert basis.insert({1: 5})
-    assert basis.rank == 2
-    with pytest.raises(ValueError):
-        make_basis(prime=p, track=True).insert({0: 1}, "tag")
 
 
 @settings(max_examples=50)

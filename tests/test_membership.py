@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitideals import membership
 from orbitideals.linalg import TriangularBasis, apply_functional
 from orbitideals.membership import (
-    CONSISTENT_NON_MEMBER,
     MEMBER,
     NON_MEMBER,
     GradedPiece,
@@ -97,29 +97,36 @@ def test_member_certificate_fails_on_tampering():
     assert not piece.verify(tampered, verdict)
 
 
-def test_modular_path_agrees_with_exact():
+def test_verdict_without_certificate_is_rejected(monkeypatch):
+    t1 = principal_minor_sum(3, 1)
+    f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
+    uncertified = MembershipVerdict("consistent_non_member")
+    assert not GradedPiece(3, [t1], 2).verify(f, uncertified)
+    # verify_minimal accepts an invariant only with a functional certificate
+    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: uncertified)
+    report = verify_minimal(Partition((3,)), samples=1, seed=0)
+    assert [c.ok for c in report.checks] == [False, False, False]
+    assert not report.ok
+
+
+def test_rel1_members_and_t1_non_member_reverify():
     gens = minor_sum_basis(3, 1, 2)
-    exact = GradedPiece(3, gens, 3, mode="exact")
-    modular = GradedPiece(3, gens, 3, mode="modular", seed=7)
-    assert modular.path == "modular" and len(modular.primes) == 3
+    piece = GradedPiece(3, gens, 3)
     for c in minor_sum_basis(3, 1, 3):
-        ve, vm = exact.contains(c), modular.contains(c)
-        assert ve.status == vm.status == MEMBER
-        assert modular.verify(c, vm)
+        verdict = piece.contains(c)
+        assert verdict.status == MEMBER
+        assert piece.verify(c, verdict)
 
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    ve = ideal_contains(f, [t1], mode="exact")
-    vm = ideal_contains(f, [t1], mode="modular", seed=7)
-    assert ve.status == NON_MEMBER
-    assert vm.status == CONSISTENT_NON_MEMBER
-    assert vm.primes and all(p.bit_length() == 31 for p in vm.primes)
+    verdict = ideal_contains(f, [t1])
+    assert verdict.status == NON_MEMBER
+    assert GradedPiece(3, [t1], 2).verify(f, verdict)
 
 
-def test_modular_member_certificates_are_exact():
-    # member coefficients from the modular path are rational and re-verify
+def test_depth_two_member_certificate_reverifies():
     gens = minor_sum_basis(4, 2, 2)
-    piece = GradedPiece(4, gens, 3, mode="modular", seed=3)
+    piece = GradedPiece(4, gens, 3)
     cand = minor_sum_basis(4, 2, 3)[0]
     verdict = piece.contains(cand)
     assert verdict.status == MEMBER
@@ -317,7 +324,7 @@ def generator_pool(n):
 
 
 def assert_blocks_match_whole_piece(n, gens, f):
-    piece = GradedPiece(n, gens, f.degree, mode="exact")
+    piece = GradedPiece(n, gens, f.degree)
     verdict = piece.contains(f)
     reference, rows = whole_piece_verdict(n, gens, f)
     assert verdict == reference
