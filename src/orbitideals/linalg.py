@@ -4,14 +4,26 @@ Vectors are dicts mapping column keys to coefficients.  Column keys can be
 anything hashable; a `sort_key` callable maps each to a number giving the
 total order used for pivot selection (largest key is the pivot).  Basis
 rows are kept monic with the pivot as their largest column, so reduction
-strictly decreases the leading key and terminates.  Basis rows hold
-Fractions.
+strictly decreases the leading key and terminates.
+
+Coefficients are exact rationals held as Python ints wherever their value is
+integral and as Fractions only otherwise; mixed int/Fraction arithmetic is
+exact, so one code path serves both.  Stored rows and provenance keep to
+this rule: dividing by a lead yields an int whenever the quotient is one.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+
+
+def _div(a, b):
+    """The exact quotient a / b: an int when it is integral, else a Fraction."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class TriangularBasis:
@@ -89,18 +101,15 @@ class TriangularBasis:
         if not residual:
             return False
         pivot = max(residual, key=self._key)
-        lead = Fraction(residual[pivot])
-        self.rows[pivot] = {col: Fraction(v) / lead for col, v in residual.items()}
+        lead = residual[pivot]
+        self.rows[pivot] = {col: _div(v, lead) for col, v in residual.items()}
         if self.track:
-            prov = {tag: Fraction(1) / lead}
+            # the new row is (vec - sum(combo * rows)) / lead
+            prov = {tag: 1}
             for piv, c in combo.items():
                 for t, pc in self.prov[piv].items():
-                    nv = prov.get(t, 0) - Fraction(c) * pc / lead
-                    if nv:
-                        prov[t] = nv
-                    else:
-                        prov.pop(t, None)
-            self.prov[pivot] = prov
+                    prov[t] = prov.get(t, 0) - c * pc
+            self.prov[pivot] = {t: _div(v, lead) for t, v in prov.items() if v}
         return True
 
     # -- certificates ------------------------------------------------------------
@@ -122,10 +131,10 @@ class TriangularBasis:
         `free_column` (which must not be a pivot)."""
         if free_column in self.rows:
             raise ValueError("column lies under a pivot")
-        lam: dict = {free_column: Fraction(1)}
+        lam: dict = {free_column: 1}
         for piv in sorted(self.rows, key=self._key):
             row = self.rows[piv]
-            s = Fraction(0)
+            s = 0
             for col, v in row.items():
                 if col != piv and col in lam:
                     s += v * lam[col]
@@ -135,7 +144,7 @@ class TriangularBasis:
 
 
 def apply_functional(lam: dict, vec: dict):
-    total = Fraction(0)
+    total = 0
     for col, v in vec.items():
         c = lam.get(col)
         if c is not None:

@@ -23,7 +23,6 @@ generators vanish and the candidate does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import TriangularBasis, apply_functional
 from .minors import principal_minor_sum
@@ -35,7 +34,14 @@ from .partitions import (
     minor_space_vanishes,
     necessity_witness,
 )
-from .polyring import Polynomial, mon_weight, monomials_of_degree, monomials_of_weight, term_key
+from .polyring import (
+    Polynomial,
+    mon_mul,
+    mon_weight,
+    monomials_of_degree,
+    monomials_of_weight,
+    term_key,
+)
 from .schur import layer_basis
 
 MEMBER = "member"
@@ -57,8 +63,9 @@ class MembershipVerdict:
     """Membership decision together with its exact certificate."""
 
     status: str
-    combination: tuple | None = None  # ((gen index, monomial, Fraction), ...)
-    functional: tuple | None = None  # ((monomial, Fraction), ...)
+    # Coefficients are exact rationals: ints, or Fractions where needed.
+    combination: tuple | None = None  # ((gen index, monomial, coeff), ...)
+    functional: tuple | None = None  # ((monomial, coeff), ...)
 
     def as_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -115,6 +122,7 @@ class GradedPiece:
         ]
         self._graded = all(w is not None for _, _, w in self._row_gens)
         self._blocks: dict[tuple, _Block] = {}
+        self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> monomials
         self._key = lambda mon: term_key(n, mon)
 
     def _weight(self, mon) -> tuple:
@@ -127,12 +135,16 @@ class GradedPiece:
         rows = []
         for gi, g, gw in self._row_gens:
             k = self.degree - g.degree
-            if self._graded:
-                mons = monomials_of_weight(self.n, k, tuple(a - b for a, b in zip(w, gw)))
-            else:
-                mons = monomials_of_degree(self.n, k)
+            mw = tuple(a - b for a, b in zip(w, gw)) if self._graded else ()
+            mons = self._multipliers.get((k, mw))
+            if mons is None:
+                if self._graded:
+                    mons = monomials_of_weight(self.n, k, mw)
+                else:
+                    mons = monomials_of_degree(self.n, k)
+                self._multipliers[(k, mw)] = mons
             for m in mons:
-                rows.append(((gi, m), g.times_monomial(m).terms))
+                rows.append(((gi, m), {mon_mul(t, m): c for t, c in g.terms.items()}))
         return rows
 
     def _block(self, w: tuple) -> _Block:
@@ -173,7 +185,7 @@ class GradedPiece:
             else:
                 for (gi, mon), c in basis.provenance_of(combo).items():
                     if c:
-                        combination.append((gi, mon, Fraction(c)))
+                        combination.append((gi, mon, c))
         if free:
             lead = max(free, key=self._key)
             lam = free[lead].annihilator(lead)
@@ -199,7 +211,7 @@ class GradedPiece:
                         acc[m2] = nv
                     else:
                         acc.pop(m2, None)
-            return acc == {m: Fraction(c) for m, c in f.terms.items()}
+            return acc == f.terms
         if verdict.status == NON_MEMBER:
             lam = dict(verdict.functional)
             if apply_functional(lam, f.terms) == 0:

@@ -18,7 +18,6 @@ The building blocks for the defining equations of nilpotent orbit closures:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import TriangularBasis
@@ -164,7 +163,7 @@ def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...
     for _, poly in minor_sum_family(n, prefix_len, size):
         if poly.is_zero():
             continue
-        if basis.insert({m: Fraction(c) for m, c in poly.terms.items()}):
+        if basis.insert(poly.terms):
             kept.append(poly)
     return tuple(kept)
 

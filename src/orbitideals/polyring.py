@@ -17,7 +17,6 @@ matrix gives every monomial a torus weight in Z^n (`mon_weight`).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 Var = tuple[int, int]
 Mon = tuple[tuple[Var, int], ...]
@@ -343,8 +342,3 @@ class Polynomial:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
-
-
-def as_fraction_matrix(entries) -> list[list[Fraction]]:
-    """Coerce a nested sequence into a list-of-lists of Fractions."""
-    return [[Fraction(x) for x in row] for row in entries]

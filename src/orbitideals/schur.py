@@ -13,7 +13,6 @@ cross-checked against exact rank computations rather than trusted
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -70,12 +69,12 @@ def layer_basis(n: int, i: int, p: int) -> tuple[Polynomial, ...]:
     basis = TriangularBasis(lambda mon: term_key(n, mon))
     for _, poly in minor_sum_family(n, i - 1, p):
         if not poly.is_zero():
-            basis.insert({m: Fraction(c) for m, c in poly.terms.items()})
+            basis.insert(poly.terms)
     kept = []
     for _, poly in minor_sum_family(n, i, p):
         if poly.is_zero():
             continue
-        if basis.insert({m: Fraction(c) for m, c in poly.terms.items()}):
+        if basis.insert(poly.terms):
             kept.append(poly)
     expected = layer_dimension(n, i)
     if len(kept) != expected:

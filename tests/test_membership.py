@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -238,7 +237,6 @@ def test_verify_minimal_curated_larger_partitions():
     assert piece.verify(t5, verdict)
 
 
-@pytest.mark.skipif(os.environ.get("ORBIT_IDEALS_LARGE") != "1", reason="n = 6 oracle")
 def test_verify_minimal_regular_orbit_n6():
     report = verify_minimal(Partition((6,)), samples=10, seed=0)
     assert report.ok

@@ -3,7 +3,7 @@
 A module that uses a name it neither defines, imports nor gets from
 builtins fails only when that line runs (or, for a decorator, when the
 module is collected).  The stdlib `symtable` pass below finds such names in
-every package and test module without running them.
+every package, test and benchmark module without running them.
 """
 
 import builtins
@@ -11,7 +11,13 @@ import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "orbitideals").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted(
+    [
+        *(ROOT / "src" / "orbitideals").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"),
+    ]
+)
 MODULE_NAMES = {"__file__", "__name__", "__doc__", "__spec__", "__loader__", "__package__", "__path__"}
 
 
