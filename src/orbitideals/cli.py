@@ -42,8 +42,6 @@ class RunConfig:
 
     partition: str | None
     n: int | None
-    seed: int
-    samples: int
     output: str
     max_n: int
 
@@ -55,8 +53,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         partition=getattr(args, "partition", None),
         n=getattr(args, "n", None),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 10),
         output="json" if getattr(args, "json", False) else "text",
         max_n=getattr(args, "max_n", DEFAULT_MAX_N),
     )
@@ -396,25 +392,25 @@ def cmd_verify(args) -> int:
     if run_vanishing:
         sched = full_schedule(mu)
         for p in sched.invariant_degrees:
-            r = check_vanishing(mu, 0, p, samples=args.samples, seed=args.seed)
+            r = check_vanishing(mu, 0, p)
             vanishing.append({"i": 0, "p": p, "all_zero": r.all_zero, "expected": True})
             ok = ok and r.all_zero
         for d in sched.minor_spaces:
-            r = check_vanishing(mu, d.i, d.p, samples=args.samples, seed=args.seed)
+            r = check_vanishing(mu, d.i, d.p)
             vanishing.append({"i": d.i, "p": d.p, "all_zero": r.all_zero, "expected": True})
             ok = ok and r.all_zero
         for i in range(1, len(mu) + 1):
             ci = mu.critical_size(i)
             if ci > i:
-                r = check_vanishing(mu, i, ci - 1, samples=args.samples, seed=args.seed)
+                r = check_vanishing(mu, i, ci - 1)
                 entry = {"i": i, "p": ci - 1, "all_zero": r.all_zero, "expected": False}
                 if r.witness is not None:
-                    entry["witness"] = {"element": r.witness[0], "sample_seed": r.witness[1]}
+                    entry["witness"] = {"rows": r.witness[0], "cols": r.witness[1]}
                 sharpness.append(entry)
                 ok = ok and not r.all_zero
     minimality = None
     if run_minimal:
-        minimality = verify_minimal(mu, samples=args.samples, seed=args.seed)
+        minimality = verify_minimal(mu)
         ok = ok and minimality.ok
     report = {
         "report": "verify",
@@ -427,7 +423,7 @@ def cmd_verify(args) -> int:
         "minimality": None if minimality is None else minimality.as_dict(),
         "ok": ok,
     }
-    lines = [f"verification for {mu} (n = {n}, seed {args.seed}, {args.samples} samples):"]
+    lines = [f"verification for {mu} (n = {n}):"]
     for v in vanishing:
         status = "PASS" if v["all_zero"] else "FAIL"
         lines.append(f"  vanishing  (i={v['i']}, p={v['p']}): {status}")
@@ -456,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--partition", help='partition, e.g. "3,3,2" or "3^2,2"')
         p.add_argument("--n", type=int, help="ambient matrix size (rank varieties)")
-        p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-        p.add_argument("--samples", type=int, default=10, help="orbit samples per check (default 10)")
+        # Nothing reads a seed, but perfbench/workloads.py passes --seed on every
+        # operation (ROADMAP item 6), so it is accepted, hidden and ignored.
+        p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="resource refusal bound")
 

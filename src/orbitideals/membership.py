@@ -16,8 +16,10 @@ first use, so a query touches only the blocks its candidate meets.
 
 Verdicts carry re-verifiable certificates: an exact coefficient combination
 for members, and for non-members either a linear functional vanishing on
-the whole graded piece but not on f, or an orbit point where the earlier
-generators vanish and the candidate does not.
+the whole graded piece but not on f, or a Jordan matrix where the earlier
+generators vanish and the candidate does not.  Evaluation at a point is a
+ring map, so such a candidate lies outside the ideal; the point is fixed by
+the witness partition, and nothing is sampled.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .linalg import TriangularBasis, apply_functional
 from .minors import principal_minor_sum
-from .orbit import sample_orbit
+from .orbit import jordan_matrix
 from .partitions import (
     Partition,
     excluded_depths,
@@ -328,8 +330,6 @@ class MinimalityCheck:
 class MinimalityReport:
     partition: Partition
     n: int
-    samples: int
-    seed: int
     checks: tuple[MinimalityCheck, ...]
     ok: bool
 
@@ -337,8 +337,6 @@ class MinimalityReport:
         return {
             "partition": str(self.partition),
             "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
             "checks": [c.as_dict() for c in self.checks],
             "ok": self.ok,
         }
@@ -352,57 +350,21 @@ def _depth_one_witness(mu: Partition) -> Partition:
     return Partition((head,) + (1,) * (n - head))
 
 
-def _point_certificate_check(
-    mu: Partition, i: int, p: int, witness: Partition, samples: int, seed: int
-) -> MinimalityCheck:
-    """Search seeded samples of the witness orbit for a point where every
-    earlier scheduled generator vanishes and some candidate does not."""
-    n = mu.n
+def _point_certificate_check(mu: Partition, i: int, p: int, witness: Partition) -> MinimalityCheck:
+    """Check that every earlier scheduled generator vanishes at the Jordan
+    matrix of the witness orbit and some candidate does not."""
     _, earlier = scheduled_generators(mu, before_depth=i)
-    candidates = layer_basis(n, i, p)
-    for k in range(samples):
-        sample_seed = seed + k
-        point = sample_orbit(witness, sample_seed).matrix.scaled_integer_entries()
-        bad = [gi for gi, g in enumerate(earlier) if g.evaluate(point) != 0]
-        if bad:
-            return MinimalityCheck(
-                "minor_space",
-                i,
-                p,
-                NON_MEMBER,
-                "mismatch",
-                False,
-                {
-                    "witness": str(witness),
-                    "sample_seed": sample_seed,
-                    "nonvanishing_generators": bad,
-                },
-            )
-        for idx, cand in enumerate(candidates):
-            if cand.evaluate(point) != 0:
-                return MinimalityCheck(
-                    "minor_space",
-                    i,
-                    p,
-                    NON_MEMBER,
-                    NON_MEMBER,
-                    True,
-                    {
-                        "witness": str(witness),
-                        "sample_seed": sample_seed,
-                        "element": idx,
-                        "point": point,
-                    },
-                )
-    return MinimalityCheck(
-        "minor_space",
-        i,
-        p,
-        NON_MEMBER,
-        "inconclusive",
-        False,
-        {"witness": str(witness), "samples": samples, "seed": seed},
-    )
+    point = jordan_matrix(witness)
+    bad = [gi for gi, g in enumerate(earlier) if g.evaluate(point) != 0]
+    if bad:
+        detail = {"witness": str(witness), "nonvanishing_generators": bad}
+        return MinimalityCheck("minor_space", i, p, NON_MEMBER, "mismatch", False, detail)
+    for idx, cand in enumerate(layer_basis(mu.n, i, p)):
+        if cand.evaluate(point) != 0:
+            detail = {"witness": str(witness), "element": idx, "point": point}
+            return MinimalityCheck("minor_space", i, p, NON_MEMBER, NON_MEMBER, True, detail)
+    detail = {"witness": str(witness)}
+    return MinimalityCheck("minor_space", i, p, NON_MEMBER, "inconclusive", False, detail)
 
 
 def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
@@ -415,12 +377,13 @@ def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
     return candidate.evaluate(point) != 0
 
 
-def verify_minimal(mu: Partition, samples: int = 10, seed: int = 0) -> MinimalityReport:
+def verify_minimal(mu: Partition) -> MinimalityReport:
     """Verify the minimal schedule end to end at desk scale.
 
     Scheduled minor spaces get vanishing-point non-membership certificates
-    from witness orbits; invariants are checked against the remaining
-    generators by the graded oracle; excluded depths are certified members.
+    at the Jordan matrices of witness orbits; invariants are checked against
+    the remaining generators by the graded oracle; excluded depths are
+    certified members.
     Inconclusive outcomes are reported, never silenced.
     """
     n = mu.n
@@ -429,7 +392,7 @@ def verify_minimal(mu: Partition, samples: int = 10, seed: int = 0) -> Minimalit
 
     for d in sched.minor_spaces:
         witness = necessity_witness(mu, d.i) if d.i >= 2 else _depth_one_witness(mu)
-        checks.append(_point_certificate_check(mu, d.i, d.p, witness, samples, seed))
+        checks.append(_point_certificate_check(mu, d.i, d.p, witness))
 
     labels, gens = scheduled_generators(mu)
     for p in sched.invariant_degrees:
@@ -458,4 +421,4 @@ def verify_minimal(mu: Partition, samples: int = 10, seed: int = 0) -> Minimalit
             )
         )
 
-    return MinimalityReport(mu, n, samples, seed, tuple(checks), all(c.ok for c in checks))
+    return MinimalityReport(mu, n, tuple(checks), all(c.ok for c in checks))

@@ -1,246 +1,181 @@
-"""Exact sampling of nilpotent orbits and vanishing tests on the samples.
+"""Vanishing of the generator spaces on nilpotent orbit closures, decided
+exactly at the Jordan matrix.
 
-Orbit points are produced by conjugating the Jordan matrix of a partition
-by a seeded random integer matrix; all arithmetic is exact, so a nonzero
-evaluation of a generator on a sample is a proof of non-vanishing, while
-an all-zero result over the sampled points is evidence, not proof.
+Each space V(i,p), the span of the prefixed minor sums (P,J|Q,J) over all
+prefixes of length i, is stable under conjugation by GL_n: it is the image
+of the equivariant map from the i-th exterior powers of E and E* (Weyman,
+Invent. Math. 98, 1989).  For X = g J g^-1 and u in V, u(X) = (g^-1 . u)(J)
+with g^-1 . u again in V.  So V vanishes on the orbit closure of mu iff
+every spanning sum vanishes at the single point J_mu, and one nonzero value
+there is a proof of non-vanishing.
+
+The values at J_mu need no polynomial: J_mu has a 1 at (r, r+1) for every r
+that is not the last index of its block, so every square submatrix is a
+partial permutation matrix, and because the successor map r -> r+1 is
+increasing, the minor (R|C) is 1 when it maps R onto C and 0 otherwise.
+
+`sample_orbit` gives integer points g J_mu g^-1 away from the Jordan form.
+No verdict rests on them: they are the generic-point reference that the
+tests compare the Jordan-point verdicts with.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
-from .minors import minor_sum_basis
+from .minors import sort_with_sign
 from .partitions import Partition
 
-SAMPLE_ENTRY_BOUND = 5
-MAX_SAMPLE_ATTEMPTS = 1000
 
-
-class OrbitSampleError(RuntimeError):
-    """Sampling failed to produce a valid orbit point."""
-
-
-class RationalMatrix:
-    """Immutable square matrix with exact rational entries."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise ValueError("entries must form a nonempty square matrix")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def zero(cls, n: int) -> "RationalMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if r == c else 0 for c in range(n)] for r in range(n)])
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"RationalMatrix({[[str(x) for x in row] for row in self.entries]})"
-
-    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        cols = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
-
-    def power(self, k: int) -> "RationalMatrix":
-        if k < 0:
-            raise ValueError("negative power")
-        out = RationalMatrix.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def rank(self) -> int:
-        """Exact rank by dense fraction-based elimination."""
-        m = [list(row) for row in self.entries]
-        n = self.n
-        rank = 0
-        for col in range(n):
-            pivot = next((r for r in range(rank, n) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = 1 / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for r in range(n):
-                if r != rank and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        return rank
-
-    def det_and_inverse(self):
-        """(determinant, inverse) by Gauss-Jordan; inverse is None if singular."""
-        n = self.n
-        m = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(self.entries)]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0), None
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return det, RationalMatrix([row[n:] for row in m])
-
-    def scaled_integer_entries(self) -> list[list[int]]:
-        """Entries multiplied by the common denominator; for a homogeneous
-        polynomial, vanishing here is equivalent to vanishing at the matrix."""
-        scale = lcm(*(x.denominator for row in self.entries for x in row))
-        return [[int(x * scale) for x in row] for row in self.entries]
-
-    def to_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_strings(cls, rows) -> "RationalMatrix":
-        return cls([[Fraction(x) for x in row] for row in rows])
-
-
-def jordan_matrix(mu: Partition) -> RationalMatrix:
-    """Block-diagonal nilpotent matrix with upper-shift blocks of the part sizes."""
-    n = mu.n
-    entries = [[0] * n for _ in range(n)]
+def _successors(mu: Partition) -> dict[int, int]:
+    """r -> r+1 (1-based) for every r that is not the last index of its block."""
+    succ = {}
     offset = 0
     for part in mu.parts:
-        for k in range(part - 1):
-            entries[offset + k][offset + k + 1] = 1
+        for k in range(offset + 1, offset + part):
+            succ[k] = k + 1
         offset += part
-    return RationalMatrix(entries)
+    return succ
 
 
-def kernel_dimensions(m: RationalMatrix, upto: int) -> list[int]:
-    """dim ker(m^k) for k = 1..upto."""
+def jordan_matrix(mu: Partition) -> tuple[tuple[int, ...], ...]:
+    """Block-diagonal nilpotent matrix with upper-shift blocks of the part
+    sizes: a 1 at (r, r+1) for every successor pair."""
+    succ = _successors(mu)
+    indices = range(1, mu.n + 1)
+    return tuple(tuple(int(succ.get(r) == c) for c in indices) for r in indices)
+
+
+def _matmul(a, b) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _transpose(a) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
+
+
+def _unit_lower_inverse(low) -> list[list[int]]:
+    """Inverse of a unit lower triangular integer matrix, by forward
+    substitution; it is again unit lower triangular and integral."""
+    n = len(low)
+    inv = [[int(r == c) for c in range(n)] for r in range(n)]
+    for r in range(n):
+        for c in range(r):
+            inv[r][c] = -sum(low[r][k] * inv[k][c] for k in range(c, r))
+    return inv
+
+
+def _rank(m) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination: every
+    entry stays a minor of `m`, so each division by the previous pivot is exact."""
+    a = [list(row) for row in m]
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        lead = a[rank][c]
+        for r in range(rank + 1, len(a)):
+            a[r] = [(lead * x - a[r][c] * y) // prev for x, y in zip(a[r], a[rank])]
+        prev = lead
+        rank += 1
+    return rank
+
+
+def kernel_dimensions(m, upto: int) -> list[int]:
+    """dim ker(m^k) for k = 1..upto, for a square integer matrix m."""
+    n = len(m)
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
     dims = []
-    power = RationalMatrix.identity(m.n)
     for _ in range(upto):
-        power = power * m
-        dims.append(m.n - power.rank())
+        power = _matmul(power, m)
+        dims.append(n - _rank(power))
     return dims
 
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """One exact point of the orbit of a nilpotent Jordan type."""
+    """One integer point of the orbit of a nilpotent Jordan type."""
 
-    matrix: RationalMatrix
+    matrix: tuple[tuple[int, ...], ...]
     jordan_type: Partition
     seed: int
 
 
-@lru_cache(maxsize=16)
 def sample_orbit(mu: Partition, seed: int) -> OrbitSample:
-    """Conjugate the Jordan matrix by a seeded random integer matrix with
-    entries in [-5, 5], resampled until invertible; the Jordan type of the
-    result is verified exactly (kernel dimensions of all powers).
+    """The point g J_mu g^-1 for g = L R, where L and R are seeded unit lower
+    and unit upper triangular matrices with entries in -2..2.  Then
+    g^-1 = R^-1 L^-1 is integral, so every seed gives a point; its kernel
+    profile, which fixes the Jordan type, is checked.
 
-    Samples are immutable, so the few most recent are kept and shared: a
-    vanishing sweep evaluates every family of one partition on the same
-    (mu, seed) points."""
+    Nothing in the package calls it: the tests use it as a generic-point
+    reference for the Jordan-point verdicts, and `perfbench/tracer.py`
+    wraps it by name."""
     n = mu.n
     rng = random.Random(seed)
-    jordan = jordan_matrix(mu)
-    conj = mu.conjugate()
-    expected = [sum(conj.parts[:k]) for k in range(1, len(conj) + 1)]
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        g = RationalMatrix(
-            [
-                [rng.randint(-SAMPLE_ENTRY_BOUND, SAMPLE_ENTRY_BOUND) for _ in range(n)]
-                for _ in range(n)
-            ]
-        )
-        det, inverse = g.det_and_inverse()
-        if det == 0:
-            continue
-        point = g * jordan * inverse
-        if kernel_dimensions(point, len(conj)) != expected:
-            raise OrbitSampleError(f"conjugate of {mu} has wrong kernel profile")
-        return OrbitSample(matrix=point, jordan_type=mu, seed=seed)
-    raise OrbitSampleError(f"no invertible conjugator found for {mu} (seed {seed})")
+
+    def unit_lower():
+        return [[rng.randint(-2, 2) if c < r else int(r == c) for c in range(n)] for r in range(n)]
+
+    low, up_t = unit_lower(), unit_lower()
+    g = _matmul(low, _transpose(up_t))
+    g_inv = _matmul(_transpose(_unit_lower_inverse(up_t)), _unit_lower_inverse(low))
+    point = _matmul(_matmul(g, jordan_matrix(mu)), g_inv)
+    expected = list(itertools.accumulate(mu.conjugate().parts))
+    if kernel_dimensions(point, len(expected)) != expected:
+        raise ArithmeticError(f"conjugate of {mu} has the wrong kernel profile")
+    return OrbitSample(tuple(map(tuple, point)), mu, seed)
+
+
+def prefixed_sum_at_jordan(mu: Partition, row_prefix, col_prefix, size: int) -> int:
+    """Value of `prefixed_minor_sum(n, row_prefix, col_prefix, size)` at J_mu:
+    the signed count of the J for which the successor map sends the rows
+    (P, J) onto the columns (Q, J)."""
+    P, Q = tuple(row_prefix), tuple(col_prefix)
+    succ = _successors(mu)
+    used = set(P) | set(Q)
+    # An index of J is both a row and a column, so it needs a successor and
+    # a predecessor in its block; any other J gives only zero minors.
+    inner = succ.keys() & set(succ.values())
+    free = [v for v in range(1, mu.n + 1) if v not in used and v in inner]
+    total = 0
+    for J in itertools.combinations(free, size - len(P)):
+        rows, rsign = sort_with_sign(P + J)
+        cols, csign = sort_with_sign(Q + J)
+        if tuple(succ.get(r) for r in rows) == cols:
+            total += rsign * csign
+    return total
 
 
 @dataclass(frozen=True)
 class VanishingReport:
-    """Outcome of evaluating one generator family on orbit samples."""
+    """Outcome of evaluating one generator space at the Jordan matrix."""
 
     partition: Partition
     i: int
     p: int
-    samples: int
-    seed: int
     all_zero: bool
-    witness: tuple[int, int] | None  # (element index, sample seed)
-
-    def as_dict(self) -> dict:
-        return {
-            "partition": str(self.partition),
-            "i": self.i,
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "all_zero": self.all_zero,
-            "witness": None
-            if self.witness is None
-            else {"element": self.witness[0], "sample_seed": self.witness[1]},
-        }
+    witness: tuple[tuple[int, ...], tuple[int, ...]] | None  # (P, Q) nonzero at J_mu
 
 
-def check_vanishing(
-    mu: Partition, i: int, p: int, samples: int = 10, seed: int = 0
-) -> VanishingReport:
-    """Evaluate the depth-i size-p family basis on seeded orbit samples.
+def check_vanishing(mu: Partition, i: int, p: int) -> VanishingReport:
+    """Decide whether the depth-i size-p space vanishes on the orbit closure
+    of mu by evaluating its sorted spanning pairs (P, Q) at J_mu.
 
-    For depths in the nonzero range the family vanishes on the whole orbit
-    closure iff p >= critical_size(mu, i); finding a nonzero value is a
-    proof of non-vanishing and is reported as a witness.
+    For depths in the nonzero range the space vanishes iff
+    p >= critical_size(mu, i); otherwise the first (P, Q), in P-major
+    lexicographic order, whose sum is nonzero at J_mu is the witness.
     """
     n = mu.n
     if i != 0 and not (1 <= i <= min(p, n - p)):
         raise ValueError(f"depth must be 0 or lie in 1..min({p},{n - p})")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    basis = minor_sum_basis(n, i, p)
-    for k in range(samples):
-        sample_seed = seed + k
-        point = sample_orbit(mu, sample_seed).matrix.scaled_integer_entries()
-        for idx, poly in enumerate(basis):
-            if poly.evaluate(point) != 0:
-                return VanishingReport(mu, i, p, samples, seed, False, (idx, sample_seed))
-    return VanishingReport(mu, i, p, samples, seed, True, None)
+    subsets = list(itertools.combinations(range(1, n + 1), i))
+    for P in subsets:
+        for Q in subsets:
+            if prefixed_sum_at_jordan(mu, P, Q, p):
+                return VanishingReport(mu, i, p, False, (P, Q))
+    return VanishingReport(mu, i, p, True, None)

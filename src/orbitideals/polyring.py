@@ -285,15 +285,14 @@ class Polynomial:
     def evaluate(self, matrix):
         """Substitute matrix entries for the variables; exact arithmetic.
 
-        `matrix` may be a RationalMatrix-like object (with .entries) or any
-        nested sequence of Fractions/ints indexed [row-1][col-1].
+        `matrix` is a nested sequence of Fractions/ints indexed
+        [row-1][col-1].
         """
-        entries = getattr(matrix, "entries", matrix)
         total = 0
         for mon, coeff in self.terms.items():
             v = coeff
             for (r, c), e in mon:
-                x = entries[r - 1][c - 1]
+                x = matrix[r - 1][c - 1]
                 v = v * (x if e == 1 else x**e)
             total = total + v
         return total

@@ -213,12 +213,13 @@ def test_verify_byte_identical(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     code3, out3, _ = run(capsys, "verify", "--partition", "2,1", "--json", "--seed", "1")
-    assert code3 == 0 and out3 != out1
+    assert code3 == 0 and out3 == out1  # --seed is accepted and ignored
 
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["schedule", "--bogus"]) == 2
     assert main(["verify", "--partition", "2,2", "--mode", "exact"]) == 2
+    assert main(["verify", "--partition", "2,2", "--samples", "3"]) == 2
 
 
 def test_text_and_json_share_facts(capsys):

@@ -103,7 +103,7 @@ def test_verdict_without_certificate_is_rejected(monkeypatch):
     assert not GradedPiece(3, [t1], 2).verify(f, uncertified)
     # verify_minimal accepts an invariant only with a functional certificate
     monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: uncertified)
-    report = verify_minimal(Partition((3,)), samples=1, seed=0)
+    report = verify_minimal(Partition((3,)))
     assert [c.ok for c in report.checks] == [False, False, False]
     assert not report.ok
 
@@ -174,7 +174,7 @@ def test_scheduled_generators_labels():
 
 
 def test_verify_minimal_kostant_case():
-    report = verify_minimal(Partition((4,)), samples=5, seed=0)
+    report = verify_minimal(Partition((4,)))
     assert report.ok
     kinds = {c.kind for c in report.checks}
     assert kinds == {"invariant"}
@@ -182,7 +182,7 @@ def test_verify_minimal_kostant_case():
 
 
 def test_verify_minimal_two_two():
-    report = verify_minimal(Partition((2, 2)), samples=10, seed=0)
+    report = verify_minimal(Partition((2, 2)))
     assert report.ok
     by_kind = {}
     for c in report.checks:
@@ -194,7 +194,7 @@ def test_verify_minimal_two_two():
 
 def test_verify_minimal_point_certificates_reverify():
     mu = Partition((2, 1, 1))
-    report = verify_minimal(mu, samples=10, seed=0)
+    report = verify_minimal(mu)
     assert report.ok
     minor_checks = [c for c in report.checks if c.kind == "minor_space"]
     assert [(c.i, c.p) for c in minor_checks] == [(1, 2), (2, 2)]
@@ -206,7 +206,7 @@ def test_verify_minimal_point_certificates_reverify():
 def test_verify_minimal_all_small_partitions():
     for n in range(1, 5):
         for mu in partitions_of(n):
-            report = verify_minimal(mu, samples=10, seed=0)
+            report = verify_minimal(mu)
             assert report.ok, (mu, [c.as_dict() for c in report.checks if not c.ok])
 
 
@@ -223,7 +223,7 @@ def test_verify_minimal_curated_larger_partitions():
         Partition((5,)),
     ]
     for mu in curated:
-        report = verify_minimal(mu, samples=10, seed=0)
+        report = verify_minimal(mu)
         assert report.ok, (mu, [c.as_dict() for c in report.checks if not c.ok])
     # the last report is that of (5,): its t_5 verdict has an exact certificate
     t5_check = next(c for c in report.checks if c.kind == "invariant" and c.p == 5)
@@ -238,7 +238,7 @@ def test_verify_minimal_curated_larger_partitions():
 
 
 def test_verify_minimal_regular_orbit_n6():
-    report = verify_minimal(Partition((6,)), samples=10, seed=0)
+    report = verify_minimal(Partition((6,)))
     assert report.ok
     assert [(c.kind, c.p, c.status) for c in report.checks] == [
         ("invariant", p, NON_MEMBER) for p in range(1, 7)
@@ -246,7 +246,7 @@ def test_verify_minimal_regular_orbit_n6():
 
 
 def test_depth_one_uses_longer_block_witness():
-    report = verify_minimal(Partition((2, 2)), samples=10, seed=0)
+    report = verify_minimal(Partition((2, 2)))
     c = next(ch for ch in report.checks if ch.kind == "minor_space")
     assert c.detail["witness"] == "3,1"
 
