@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from .membership import MEMBER, GradedPiece, verify_minimal, verify_redundant
 from .minors import family_rank, minor_sum_basis, principal_minor_sum
@@ -34,36 +33,48 @@ from .schur import dimension_table, layer_basis
 
 DEFAULT_MAX_N = 5
 WORKDIR_ENV = "ORBIT_IDEALS_WORKDIR"
+BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility envelope echoed in every report."""
-
-    partition: str | None
-    n: int | None
-    output: str
-    max_n: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+def _config(args) -> dict:
+    """Reproducibility envelope echoed in every report; a flag the command
+    does not take is echoed as null (or, for max_n, as its default)."""
+    return {
+        "partition": getattr(args, "partition", None),
+        "n": getattr(args, "n", None),
+        "output": "json" if args.json else "text",
+        "max_n": getattr(args, "max_n", DEFAULT_MAX_N),
+    }
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        partition=getattr(args, "partition", None),
-        n=getattr(args, "n", None),
-        output="json" if getattr(args, "json", False) else "text",
-        max_n=getattr(args, "max_n", DEFAULT_MAX_N),
-    )
+def _encode(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def _emit(report: dict, text_lines: list[str], as_json: bool):
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    print(_encode(report) if as_json else "\n".join(text_lines))
+
+
+def _write_blocks(stream, text: str, stop: int):
+    """Write text[:stop] in 64 KiB blocks.  A generators report at n = 6
+    runs to 6.5 MB; written whole, it is copied by the slice and again by
+    the stream's encoder, which raised the peak RSS of exporting every
+    partition of 6 by about 4 MB (5 %)."""
+    for k in range(0, stop, BLOCK):
+        stream.write(text[k : min(k + BLOCK, stop)])
+
+
+def _refused(n: int, args, detail: str = "") -> bool:
+    """Print the resource refusal when n exceeds --max-n (exit code 3)."""
+    if n <= args.max_n:
+        return False
+    print(f"refusing: n = {n} exceeds --max-n = {args.max_n}{detail}", file=sys.stderr)
+    return True
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _descriptor_dicts(schedule):
@@ -98,12 +109,10 @@ def render_diagram(mu: Partition, arrows) -> list[str]:
 
 
 def cmd_schedule(args) -> int:
-    config = _config_from_args(args)
     mu = parse_partition(args.partition)
     ambient = args.n if args.n is not None else mu.n
     if ambient < mu.n:
-        print(f"error: ambient size {ambient} is smaller than the partition total {mu.n}", file=sys.stderr)
-        return 2
+        return _usage_error(f"ambient size {ambient} is smaller than the partition total {mu.n}")
     rank_variety = ambient > mu.n
     if rank_variety:
         minimal = rank_variety_schedule(mu, ambient)
@@ -115,7 +124,7 @@ def cmd_schedule(args) -> int:
     diagram = render_diagram(mu, arrows)
     report = {
         "report": "schedule",
-        "config": config.as_dict(),
+        "config": _config(args),
         "partition": str(mu),
         "n": ambient,
         "conjugate": str(mu.conjugate()),
@@ -156,23 +165,13 @@ def cmd_schedule(args) -> int:
     return 0
 
 
-def _generator_estimate(mu: Partition) -> int:
-    sched = minimal_schedule(mu)
-    return len(sched.invariant_degrees) + sum(d.dimension for d in sched.minor_spaces)
-
-
 def cmd_generators(args) -> int:
-    config = _config_from_args(args)
     mu = parse_partition(args.partition)
     n = mu.n
-    if n > args.max_n:
-        print(
-            f"refusing: n = {n} exceeds --max-n = {args.max_n} "
-            f"(about {_generator_estimate(mu)} generators of degree up to {mu.critical_size(len(mu))})",
-            file=sys.stderr,
-        )
-        return 3
     sched = minimal_schedule(mu)
+    count = len(sched.invariant_degrees) + sum(d.dimension for d in sched.minor_spaces)
+    if _refused(n, args, f" (about {count} generators of degree up to {mu.critical_size(len(mu))})"):
+        return 3
     families = []
     for p in sched.invariant_degrees:
         poly = principal_minor_sum(n, p)
@@ -200,36 +199,35 @@ def cmd_generators(args) -> int:
         )
     report = {
         "report": "generators",
-        "config": config.as_dict(),
+        "config": _config(args),
         "partition": str(mu),
         "n": n,
         "families": families,
     }
     workdir = os.environ.get(WORKDIR_ENV, ".")
     filename = os.path.join(workdir, f"generators_{format_partition(mu).replace(',', '_')}.json")
+    text = _encode(report)
     with open(filename, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        _write_blocks(fh, text, len(text))
         fh.write("\n")
-    lines = [f"wrote {filename}"]
-    for fam in families:
-        lines.append(f"  {fam['family']}: {fam['count']} polynomial(s) of degree {fam['degree']}")
-    _emit({**report, "path": filename}, lines, args.json)
+    if args.json:
+        # stdout is the file's report with "path" added; sorted, that key
+        # falls just before "report", the last key of the top-level object
+        cut = text.rindex('\n  "report": ')
+        _write_blocks(sys.stdout, text, cut)
+        print(f'\n  "path": {json.dumps(filename)},{text[cut:]}')
+    else:
+        print(f"wrote {filename}")
+        for fam in families:
+            print(f"  {fam['family']}: {fam['count']} polynomial(s) of degree {fam['degree']}")
     return 0
 
 
 def cmd_dims(args) -> int:
-    config = _config_from_args(args)
     n = args.n
-    if n is None:
-        print("error: dims requires --n", file=sys.stderr)
-        return 2
-    if n > args.max_n:
-        print(
-            f"refusing: rank table at n = {n} exceeds --max-n = {args.max_n}",
-            file=sys.stderr,
-        )
+    if _refused(n, args):
         return 3
-    table = dimension_table(n)
+    dims = list(dimension_table(n))
     ranks = [
         {"i": i, "p": p, "rank": family_rank(n, i, p)}
         for p in range(1, n + 1)
@@ -237,12 +235,12 @@ def cmd_dims(args) -> int:
     ]
     report = {
         "report": "dims",
-        "config": config.as_dict(),
+        "config": _config(args),
         "n": n,
-        "dims": list(table.dims),
+        "dims": dims,
         "ranks": ranks,
     }
-    lines = [f"layer dimensions for n = {n}: {list(table.dims)}"]
+    lines = [f"layer dimensions for n = {n}: {dims}"]
     for entry in ranks:
         lines.append(f"  rank(i={entry['i']}, p={entry['p']}) = {entry['rank']}")
     _emit(report, lines, args.json)
@@ -250,14 +248,12 @@ def cmd_dims(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    config = _config_from_args(args)
     mu = parse_partition(args.partition)
     depths = [args.i] if args.i is not None else list(range(2, len(mu) + 1))
     entries = []
     for i in depths:
         if not (2 <= i <= len(mu)):
-            print(f"error: depth {i} out of range 2..{len(mu)}", file=sys.stderr)
-            return 2
+            return _usage_error(f"depth {i} out of range 2..{len(mu)}")
         if admits_minor_space(mu, i):
             p = mu.critical_size(i)
             if minor_space_vanishes(mu.n, i, p):
@@ -286,7 +282,7 @@ def cmd_witness(args) -> int:
             )
     report = {
         "report": "witness",
-        "config": config.as_dict(),
+        "config": _config(args),
         "partition": str(mu),
         "n": mu.n,
         "witnesses": entries,
@@ -305,14 +301,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    config = _config_from_args(args)
+    # argparse keeps --rel1 and --partition apart; --n goes with --rel1 only
+    # and --i with --partition only
     if args.rel1:
+        if args.i is not None:
+            return _usage_error("--i does not apply to --rel1")
         if args.n is None:
-            print("error: --rel1 requires --n", file=sys.stderr)
-            return 2
+            return _usage_error("--rel1 requires --n")
         n = args.n
-        if n > args.max_n:
-            print(f"refusing: --rel1 at n = {n} exceeds --max-n = {args.max_n}", file=sys.stderr)
+        if _refused(n, args):
             return 3
         results = []
         ok = True
@@ -326,7 +323,7 @@ def cmd_membership(args) -> int:
                 results.append({"i": i, "p": p, "all_member": all_member})
         report = {
             "report": "membership",
-            "config": config.as_dict(),
+            "config": _config(args),
             "kind": "rel1",
             "n": n,
             "results": results,
@@ -339,22 +336,23 @@ def cmd_membership(args) -> int:
         _emit(report, lines, args.json)
         return 0 if ok else 1
 
+    if args.n is not None:
+        return _usage_error("--n applies only with --rel1")
     if args.partition is None:
-        print("error: membership requires --partition (or --rel1 with --n)", file=sys.stderr)
-        return 2
+        return _usage_error("membership requires --partition (or --rel1 with --n)")
     mu = parse_partition(args.partition)
-    if mu.n > args.max_n:
-        print(f"refusing: n = {mu.n} exceeds --max-n = {args.max_n}", file=sys.stderr)
+    if _refused(mu.n, args):
         return 3
     if args.i is None:
-        print("error: membership requires --i (or --rel1)", file=sys.stderr)
-        return 2
+        return _usage_error("membership requires --i (or --rel1)")
     i = args.i
+    if not (1 <= i <= len(mu)):
+        return _usage_error(f"depth {i} out of range 1..{len(mu)}")
     if i in excluded_depths(mu):
         rep = verify_redundant(mu, i)
         report = {
             "report": "membership",
-            "config": config.as_dict(),
+            "config": _config(args),
             "kind": "redundancy",
             **rep.as_dict(),
         }
@@ -365,23 +363,13 @@ def cmd_membership(args) -> int:
         ]
         _emit(report, lines, args.json)
         return 0 if rep.all_member else 1
-    print(
-        f"error: depth {i} is scheduled for {mu}; use `verify` for minimality certificates",
-        file=sys.stderr,
-    )
-    return 2
+    return _usage_error(f"depth {i} is scheduled for {mu}; use `verify` for minimality certificates")
 
 
 def cmd_verify(args) -> int:
-    config = _config_from_args(args)
     mu = parse_partition(args.partition)
     n = mu.n
-    if n > args.max_n:
-        print(
-            f"refusing: n = {n} exceeds --max-n = {args.max_n}; "
-            "raise --max-n to force (vanishing and oracle cost grows quickly)",
-            file=sys.stderr,
-        )
+    if _refused(n, args, "; raise --max-n to force (vanishing and oracle cost grows quickly)"):
         return 3
     suite = args.suite
     run_vanishing = suite in ("all", "vanishing")
@@ -414,7 +402,7 @@ def cmd_verify(args) -> int:
         ok = ok and minimality.ok
     report = {
         "report": "verify",
-        "config": config.as_dict(),
+        "config": _config(args),
         "suite": suite,
         "partition": str(mu),
         "n": n,
@@ -446,42 +434,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, partition_required=True):
-        if partition_required:
-            p.add_argument("--partition", required=True, help='partition, e.g. "3,3,2" or "3^2,2"')
-        else:
-            p.add_argument("--partition", help='partition, e.g. "3,3,2" or "3^2,2"')
-        p.add_argument("--n", type=int, help="ambient matrix size (rank varieties)")
+    def command(name, func, summary):
+        """A subcommand with the flags every command takes."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
         # Nothing reads a seed, but perfbench/workloads.py passes --seed on every
         # operation (ROADMAP item 6), so it is accepted, hidden and ignored.
         p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        return p
+
+    def partition(p, required=True):
+        p.add_argument("--partition", required=required, help='partition, e.g. "3,3,2" or "3^2,2"')
+
+    def max_n(p):
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="resource refusal bound")
 
-    p = sub.add_parser("schedule", help="print the full and minimal generator schedules")
-    common(p)
-    p.set_defaults(func=cmd_schedule)
+    def size(text):
+        """A matrix size (argparse names it in the error for a non-integer)."""
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
 
-    p = sub.add_parser("generators", help="write the serialized generator families")
-    common(p)
-    p.set_defaults(func=cmd_generators)
+    p = command("schedule", cmd_schedule, "print the full and minimal generator schedules")
+    partition(p)
+    p.add_argument("--n", type=size, help="ambient matrix size (rank varieties)")
 
-    p = sub.add_parser("dims", help="layer dimension table and family ranks")
-    common(p, partition_required=False)
-    p.set_defaults(func=cmd_dims)
+    p = command("generators", cmd_generators, "write the serialized generator families")
+    partition(p)
+    max_n(p)
 
-    p = sub.add_parser("witness", help="necessity and redundancy witness partitions")
-    common(p)
+    p = command("dims", cmd_dims, "layer dimension table and family ranks")
+    p.add_argument("--n", type=size, required=True, help="matrix size")
+    max_n(p)
+
+    p = command("witness", cmd_witness, "necessity and redundancy witness partitions")
+    partition(p)
     p.add_argument("--i", type=int, help="single depth to explain")
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("membership", help="graded membership oracle reports")
-    common(p, partition_required=False)
-    p.add_argument("--i", type=int, help="depth to certify (excluded depths)")
-    p.add_argument("--rel1", action="store_true", help="check V(i,p+1) in <V(i,p)> for all valid i,p")
-    p.set_defaults(func=cmd_membership)
+    p = command("membership", cmd_membership, "graded membership oracle reports")
+    mode = p.add_mutually_exclusive_group()
+    partition(mode, required=False)
+    mode.add_argument("--rel1", action="store_true", help="check V(i,p+1) in <V(i,p)> for all valid i,p (needs --n)")
+    p.add_argument("--i", type=int, help="depth to certify (excluded depths; with --partition)")
+    p.add_argument("--n", type=size, help="matrix size (with --rel1)")
+    max_n(p)
 
-    p = sub.add_parser("verify", help="vanishing, sharpness, minimality and redundancy suites")
+    p = command("verify", cmd_verify, "vanishing, sharpness, minimality and redundancy suites")
     p.add_argument(
         "suite",
         nargs="?",
@@ -489,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run (default all)",
     )
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    partition(p)
+    max_n(p)
 
     return parser
 
@@ -501,14 +501,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "partition", None) is None and args.command in ("schedule", "generators", "witness", "verify"):
-        print("error: --partition is required", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

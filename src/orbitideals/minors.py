@@ -94,10 +94,7 @@ def principal_minor_sum(n: int, p: int) -> Polynomial:
     """Sum of all principal p x p minors of the generic n x n matrix."""
     if not (1 <= p <= n):
         raise ValueError(f"minor size must lie in 1..{n}")
-    total = Polynomial.zero(n)
-    for subset in itertools.combinations(range(1, n + 1), p):
-        total = total + minor(n, subset, subset)
-    return total
+    return prefixed_minor_sum(n, (), (), p)
 
 
 def prefixed_minor_sum(n: int, row_prefix, col_prefix, size: int) -> Polynomial:
@@ -123,12 +120,14 @@ def prefixed_minor_sum(n: int, row_prefix, col_prefix, size: int) -> Polynomial:
         return Polynomial.zero(n)
     used = set(P) | set(Q)
     free = [v for v in range(1, n + 1) if v not in used]
-    total = Polynomial.zero(n)
+    terms: dict = {}
     for J in itertools.combinations(free, size - i):
         rows, rsign = sort_with_sign(P + J)
         cols, csign = sort_with_sign(Q + J)
-        total = total + minor(n, rows, cols) * (rsign * csign)
-    return total
+        sign = rsign * csign
+        for mon, c in minor(n, rows, cols).terms.items():
+            terms[mon] = terms.get(mon, 0) + sign * c
+    return Polynomial(n, terms)  # drops the cancelled terms
 
 
 def minor_sum_family(n: int, prefix_len: int, size: int):
@@ -151,6 +150,20 @@ def minor_sum_family(n: int, prefix_len: int, size: int):
             yield (P, Q), prefixed_minor_sum(n, P, Q, size)
 
 
+def greedy_extension(n: int, span, family) -> tuple[Polynomial, ...]:
+    """The polynomials of a `minor_sum_family`, in its order, that are
+    independent of the independent sequence `span` and of those kept
+    before them."""
+    basis = TriangularBasis(lambda mon: term_key(n, mon))
+    for poly in span:
+        basis.insert(poly.terms)
+    kept = []
+    for _, poly in family:
+        if not poly.is_zero() and basis.insert(poly.terms):
+            kept.append(poly)
+    return tuple(kept)
+
+
 @lru_cache(maxsize=None)
 def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...]:
     """Maximal linearly independent subfamily of the prefixed minor sums,
@@ -158,14 +171,7 @@ def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...
 
     The cardinality equals C(n, m)^2 with m = min(prefix_len, size, n-size).
     """
-    basis = TriangularBasis(lambda mon: term_key(n, mon))
-    kept = []
-    for _, poly in minor_sum_family(n, prefix_len, size):
-        if poly.is_zero():
-            continue
-        if basis.insert(poly.terms):
-            kept.append(poly)
-    return tuple(kept)
+    return greedy_extension(n, (), minor_sum_family(n, prefix_len, size))
 
 
 def family_rank(n: int, prefix_len: int, size: int) -> int:

@@ -161,9 +161,6 @@ class GeneratorDescriptor:
         if self.degree != self.p or self.p < 1:
             raise ValueError("degree must equal the minor size")
 
-    def label(self) -> str:
-        return f"t_{self.p}" if self.kind == INVARIANT else f"U_({self.i},{self.p})"
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -208,11 +208,6 @@ class Polynomial:
         """Terms in descending canonical order (leading term first)."""
         return sorted(self.terms.items(), key=lambda t: term_key(self.n, t[0]), reverse=True)
 
-    def leading_monomial(self) -> Mon:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda m: term_key(self.n, m))
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):

@@ -117,6 +117,20 @@ def test_generators_family_counts_match_schedule(tmp_path, monkeypatch, capsys):
             assert all(len(f["polynomials"]) == f["count"] for f in report["families"])
 
 
+def test_generators_json_bytes(tmp_path, monkeypatch, capsys):
+    # stdout is the file's report with "path" added, each encoded once
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
+    for n in range(1, 5):
+        for mu in partitions_of(n):
+            code, out, _ = run(capsys, "generators", "--partition", str(mu), "--json")
+            assert code == 0
+            path = str(tmp_path / f"generators_{str(mu).replace(',', '_')}.json")
+            text = open(path).read()
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            assert out == json.dumps({**report, "path": path}, indent=2, sort_keys=True) + "\n"
+
+
 def test_generators_refusal(capsys):
     code, _, err = run(capsys, "generators", "--partition", "3,2,1", "--max-n", "4")
     assert code == 3
@@ -135,6 +149,18 @@ def test_dims_output(capsys):
 def test_dims_requires_n(capsys):
     code, _, err = run(capsys, "dims")
     assert code == 2
+
+
+def test_size_below_one_is_usage_error(capsys):
+    for argv in (
+        ["dims", "--n", "-1"],
+        ["dims", "--n", "0", "--json"],
+        ["membership", "--rel1", "--n", "0", "--json"],
+        ["membership", "--rel1", "--n", "-2", "--json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be at least 1" in err
 
 
 def test_witness_subcommand(capsys):
@@ -170,6 +196,14 @@ def test_membership_rel1(capsys):
 def test_membership_scheduled_depth_is_usage_error(capsys):
     code, _, err = run(capsys, "membership", "--partition", "2,1,1", "--i", "2")
     assert code == 2
+    assert "is scheduled" in err
+
+
+def test_membership_depth_out_of_range(capsys):
+    for depth in ("5", "3", "0", "-1"):
+        code, out, err = run(capsys, "membership", "--partition", "2,1", "--i", depth)
+        assert (code, out) == (2, "")
+        assert f"depth {depth} out of range 1..2" in err
 
 
 def test_membership_requires_partition_or_rel1(capsys):
@@ -220,6 +254,17 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["schedule", "--bogus"]) == 2
     assert main(["verify", "--partition", "2,2", "--mode", "exact"]) == 2
     assert main(["verify", "--partition", "2,2", "--samples", "3"]) == 2
+    # each subcommand takes only the flags it reads
+    assert main(["generators", "--partition", "2,1", "--n", "3"]) == 2
+    assert main(["witness", "--partition", "2,1", "--n", "3"]) == 2
+    assert main(["verify", "--partition", "2,1", "--n", "9"]) == 2
+    assert main(["schedule", "--partition", "2,1", "--max-n", "3"]) == 2
+    assert main(["witness", "--partition", "2,1", "--max-n", "3"]) == 2
+    assert main(["dims", "--n", "2", "--partition", "9,9"]) == 2
+    # membership: --rel1 with --n, or --partition with --i
+    assert main(["membership", "--rel1", "--n", "3", "--partition", "2,1"]) == 2
+    assert main(["membership", "--partition", "2,2", "--i", "2", "--n", "4"]) == 2
+    assert main(["membership", "--rel1", "--n", "3", "--i", "2"]) == 2
 
 
 def test_text_and_json_share_facts(capsys):

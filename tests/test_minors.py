@@ -90,6 +90,28 @@ def test_prefixed_minor_sum_examples():
     assert prefixed_minor_sum(3, (1,), (1,), 2) == expected
 
 
+def test_prefixed_minor_sum_matches_polynomial_sum():
+    # reference: the sum built with Polynomial arithmetic, one minor at a time
+    def reference(n, P, Q, size):
+        total = Polynomial.zero(n)
+        free = [v for v in range(1, n + 1) if v not in P + Q]
+        for J in itertools.combinations(free, size - len(P)):
+            rows, rsign = sort_with_sign(P + J)
+            cols, csign = sort_with_sign(Q + J)
+            total = total + minor(n, rows, cols) * (rsign * csign)
+        return total
+
+    for n in range(1, 5):
+        for p in range(1, n + 1):
+            for i in range(0, p + 1):
+                for P in itertools.permutations(range(1, n + 1), i):
+                    for Q in itertools.combinations(range(1, n + 1), i):
+                        assert prefixed_minor_sum(n, P, Q, p) == reference(n, P, Q, p), (n, P, Q, p)
+    for n in (5, 6):
+        for p in range(1, n + 1):
+            assert principal_minor_sum(n, p) == reference(n, (), (), p)
+
+
 def test_prefixed_minor_sum_empty_sum_is_zero():
     # no room for J: sum over an empty index family
     assert prefixed_minor_sum(3, (1, 2), (2, 3), 3).is_zero()

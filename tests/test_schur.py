@@ -6,7 +6,7 @@ import pytest
 from orbitideals.linalg import TriangularBasis
 from orbitideals.minors import family_rank, minor_sum_family
 from orbitideals.polyring import term_key
-from orbitideals.schur import DimensionTable, dimension_table, layer_basis, layer_dimension
+from orbitideals.schur import dimension_table, layer_basis, layer_dimension
 
 
 def test_layer_dimension_values():
@@ -26,10 +26,7 @@ def test_layer_dimension_telescopes():
 
 
 def test_dimension_table():
-    table = dimension_table(4)
-    assert table.dims == (1, 15, 20, 0, 0)
-    with pytest.raises(ValueError):
-        DimensionTable(4, (1, 15, 21, 0, 0))
+    assert dimension_table(4) == (1, 15, 20, 0, 0)
 
 
 def test_rank_steps_equal_layer_dimensions():
@@ -67,3 +64,24 @@ def test_layer_basis_extends_previous_span():
             assert basis.insert(poly.terms)
         assert basis.rank == start + layer_dimension(n, i)
         assert basis.rank == comb(n, min(i, p, n - p)) ** 2
+
+
+def two_family_layer(n, i, p):
+    """The layer representatives as first selected: insert the whole
+    depth-(i-1) family, then keep the depth-i members that raise the rank."""
+    if i < 1 or i > min(p, n - p):
+        return ()
+    basis = TriangularBasis(lambda mon: term_key(n, mon))
+    for _, poly in minor_sum_family(n, i - 1, p):
+        if not poly.is_zero():
+            basis.insert(poly.terms)
+    return tuple(
+        poly for _, poly in minor_sum_family(n, i, p) if not poly.is_zero() and basis.insert(poly.terms)
+    )
+
+
+def test_layer_basis_matches_two_family_greedy():
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            for i in range(0, n + 1):
+                assert layer_basis(n, i, p) == two_family_layer(n, i, p), (n, i, p)
