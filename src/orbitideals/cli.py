@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .membership import MEMBER, GradedPiece, verify_minimal, verify_redundant
 from .minors import family_rank, minor_sum_basis, principal_minor_sum
@@ -47,8 +48,69 @@ def _config(args) -> dict:
     }
 
 
+class _Encoder(json.JSONEncoder):
+    """The bytes of json.dumps(o, indent=2, sort_keys=True), the only
+    arguments _encode passes, without the stdlib's pure-Python generator
+    encoder (CPython's C encoder takes only indent=None).  Each dict and
+    list is built with one str.join and strings go through the C
+    encode_basestring_ascii.  For one encode call the text of every key,
+    and of every all-int list (monomial triples, Jordan point rows) at its
+    depth, is cached.  Any other type goes to the stdlib encoder."""
+
+    def encode(self, o):
+        keys: dict[str, str] = {}
+        ints: dict[tuple, str] = {}
+
+        def enc(o, level: int) -> str:
+            t = type(o)
+            if t is str:
+                return _quote(o)
+            if t is dict:
+                if not o:
+                    return "{}"
+                inner = "\n" + "  " * (level + 1)
+                parts = []
+                for k in sorted(o):
+                    head = keys.get(k)
+                    if head is None:
+                        if type(k) is not str:
+                            raise TypeError(k)
+                        head = keys[k] = _quote(k) + ": "
+                    parts.append(head + enc(o[k], level + 1))
+                return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * level + "}"
+            if t is list or t is tuple:
+                if not o:
+                    return "[]"
+                inner = "\n" + "  " * (level + 1)
+                if type(o[0]) is int and all(type(x) is int for x in o):
+                    key = (tuple(o), level)
+                    text = ints.get(key)
+                    if text is None:
+                        items = ("," + inner).join(map(int.__repr__, o))
+                        text = ints[key] = "[" + inner + items + "\n" + "  " * level + "]"
+                    return text
+                items = ("," + inner).join([enc(x, level + 1) for x in o])
+                return "[" + inner + items + "\n" + "  " * level + "]"
+            if t is int:
+                return int.__repr__(o)
+            if o is None:
+                return "null"
+            if o is True:
+                return "true"
+            if o is False:
+                return "false"
+            raise TypeError(t)
+
+        try:
+            return enc(o, 0)
+        except TypeError:
+            # floats, subclasses, non-str keys: the stdlib encodes them or
+            # raises its own error
+            return super().encode(o)
+
+
 def _encode(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True, cls=_Encoder)
 
 
 def _emit(report: dict, text_lines: list[str], as_json: bool):
@@ -215,7 +277,7 @@ def cmd_generators(args) -> int:
         # falls just before "report", the last key of the top-level object
         cut = text.rindex('\n  "report": ')
         _write_blocks(sys.stdout, text, cut)
-        print(f'\n  "path": {json.dumps(filename)},{text[cut:]}')
+        print(f'\n  "path": {_quote(filename)},{text[cut:]}')
     else:
         print(f"wrote {filename}")
         for fam in families:
@@ -308,6 +370,9 @@ def cmd_membership(args) -> int:
             return _usage_error("--i does not apply to --rel1")
         if args.n is None:
             return _usage_error("--rel1 requires --n")
+        if args.n < 2:
+            # no (i, p) pair with 1 <= i <= p < n: the sweep would be vacuous
+            return _usage_error("--rel1 needs --n of at least 2")
         n = args.n
         if _refused(n, args):
             return 3
@@ -476,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("membership", cmd_membership, "graded membership oracle reports")
     mode = p.add_mutually_exclusive_group()
     partition(mode, required=False)
-    mode.add_argument("--rel1", action="store_true", help="check V(i,p+1) in <V(i,p)> for all valid i,p (needs --n)")
+    mode.add_argument("--rel1", action="store_true", help="check V(i,p+1) in <V(i,p)> for all valid i,p (needs --n >= 2)")
     p.add_argument("--i", type=int, help="depth to certify (excluded depths; with --partition)")
     p.add_argument("--n", type=size, help="matrix size (with --rel1)")
     max_n(p)

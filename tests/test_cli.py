@@ -1,8 +1,12 @@
 import json
+import types
 from importlib import resources
 
 import jsonschema
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from orbitideals import cli
 from orbitideals.cli import main, render_diagram
 from orbitideals.partitions import minimal_schedule, parse_partition, partitions_of
 
@@ -193,6 +197,13 @@ def test_membership_rel1(capsys):
     assert {(r["i"], r["p"]) for r in report["results"]} == {(1, 1), (1, 2), (2, 2)}
 
 
+def test_membership_rel1_needs_two_rows(capsys):
+    # at n = 1 there is no pair 1 <= i <= p < n, so a PASS would be vacuous
+    code, out, err = run(capsys, "membership", "--rel1", "--n", "1", "--json")
+    assert (code, out) == (2, "")
+    assert "--rel1 needs --n of at least 2" in err
+
+
 def test_membership_scheduled_depth_is_usage_error(capsys):
     code, _, err = run(capsys, "membership", "--partition", "2,1,1", "--i", "2")
     assert code == 2
@@ -275,3 +286,86 @@ def test_text_and_json_share_facts(capsys):
     for v in report["vanishing"]:
         assert f"vanishing  (i={v['i']}, p={v['p']})" in text_out
     assert "result: PASS" in text_out
+
+
+def stdlib_bytes(o) -> str:
+    return json.dumps(o, indent=2, sort_keys=True)
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f\xe9\u20ac\U0001f600')) | st.text()
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.integers(-(10**80), 10**80) | TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+@example([[1, 2], [True, 2], {"a": [1, 2], "b": [[1, 2]]}, (1, 2)])
+@example({"point": ((0, 1), (0, 0)), "rows": [[0, 1], [0, 0]], "": {}, "z": ()})
+def test_encode_matches_stdlib_bytes(tree):
+    assert cli._encode(tree) == stdlib_bytes(tree)
+
+
+def test_encode_falls_back_to_stdlib():
+    # types the fast path leaves out still give the stdlib's bytes or error
+    class Key(str):
+        pass
+
+    for o in ([1.5, float("nan"), -float("inf")], {2: "b", 1: "a"}, {Key("k"): 1}, [1, 2.0], [10**30, True]):
+        assert cli._encode(o) == stdlib_bytes(o), o
+    for bad in ({"a": object()}, {1: 1, "b": 2}):
+        with pytest.raises(TypeError):
+            cli._encode(bad)
+
+
+SUBCOMMANDS = [
+    ("schedule", "--partition", "3^2,2^2,1^5"),
+    ("schedule", "--partition", "2,1", "--n", "5"),
+    ("dims", "--n", "3"),
+    ("witness", "--partition", "4,2^3,1^5"),
+    ("membership", "--rel1", "--n", "3"),
+    ("membership", "--partition", "2,2", "--i", "2"),
+    ("membership", "--partition", "2,2,1", "--i", "2"),  # member verdicts with combinations
+    ("verify", "--partition", "2,1,1"),  # minimality checks with a Jordan point
+]
+
+
+def test_every_json_report_has_stdlib_bytes(capsys):
+    outs = {}
+    for argv in SUBCOMMANDS:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert out == stdlib_bytes(validate_report(out)) + "\n", argv
+        outs[argv] = out
+    assert {argv[0] for argv in outs} == {"schedule", "dims", "witness", "membership", "verify"}
+    assert '"combination"' in outs[SUBCOMMANDS[-2]]
+    assert '"point"' in outs[SUBCOMMANDS[-1]]
+
+
+def test_generators_encodes_once(tmp_path, monkeypatch, capsys):
+    # perfbench/layers.py charges cli.json.dump and cli.json.dumps to
+    # cli.serialize_s; the whole report must pass through one of them once
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
+    calls = []
+    proxy = types.ModuleType(json.__name__)
+    proxy.__dict__.update(vars(json))
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return getattr(json, name)(*args, **kwargs)
+
+        return wrapper
+
+    proxy.dump, proxy.dumps = counted("dump"), counted("dumps")
+    monkeypatch.setattr(cli, "json", proxy)
+    for flags in ((), ("--json",)):
+        calls.clear()
+        code, _, _ = run(capsys, "generators", "--partition", "2,1", *flags)
+        assert code == 0
+        assert calls == ["dumps"], flags
