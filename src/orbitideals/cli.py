@@ -21,7 +21,6 @@ from .partitions import (
     Partition,
     admits_minor_space,
     excluded_depths,
-    format_partition,
     full_schedule,
     minimal_schedule,
     minor_space_vanishes,
@@ -38,14 +37,12 @@ BLOCK = 1 << 16
 
 
 def _config(args) -> dict:
-    """Reproducibility envelope echoed in every report; a flag the command
-    does not take is echoed as null (or, for max_n, as its default)."""
-    return {
-        "partition": getattr(args, "partition", None),
-        "n": getattr(args, "n", None),
-        "output": "json" if args.json else "text",
-        "max_n": getattr(args, "max_n", DEFAULT_MAX_N),
-    }
+    """Reproducibility envelope echoed in every report: the output format
+    and whichever of partition, n and max_n the command takes."""
+    flags = vars(args)
+    config = {k: flags[k] for k in ("partition", "n", "max_n") if k in flags}
+    config["output"] = "json" if args.json else "text"
+    return config
 
 
 class _Encoder(json.JSONEncoder):
@@ -141,7 +138,7 @@ def _usage_error(message: str) -> int:
 
 def _descriptor_dicts(schedule):
     return [
-        {"i": d.i, "p": d.p, "degree": d.degree, "dimension": d.dimension}
+        {"i": d.i, "p": d.p, "degree": d.p, "dimension": d.dimension}
         for d in schedule.minor_spaces
     ]
 
@@ -173,15 +170,9 @@ def render_diagram(mu: Partition, arrows) -> list[str]:
 def cmd_schedule(args) -> int:
     mu = parse_partition(args.partition)
     ambient = args.n if args.n is not None else mu.n
-    if ambient < mu.n:
-        return _usage_error(f"ambient size {ambient} is smaller than the partition total {mu.n}")
+    minimal = rank_variety_schedule(mu, ambient)  # raises when ambient < |mu|
     rank_variety = ambient > mu.n
-    if rank_variety:
-        minimal = rank_variety_schedule(mu, ambient)
-        full = None
-    else:
-        minimal = minimal_schedule(mu)
-        full = full_schedule(mu)
+    full = None if rank_variety else full_schedule(mu)
     arrows = [d.i for d in minimal.minor_spaces]
     diagram = render_diagram(mu, arrows)
     report = {
@@ -254,7 +245,7 @@ def cmd_generators(args) -> int:
                 "family": f"U_({d.i},{d.p})",
                 "i": d.i,
                 "p": d.p,
-                "degree": d.degree,
+                "degree": d.p,
                 "count": len(basis),
                 "polynomials": [poly.to_records() for poly in basis],
             }
@@ -267,7 +258,7 @@ def cmd_generators(args) -> int:
         "families": families,
     }
     workdir = os.environ.get(WORKDIR_ENV, ".")
-    filename = os.path.join(workdir, f"generators_{format_partition(mu).replace(',', '_')}.json")
+    filename = os.path.join(workdir, f"generators_{str(mu).replace(',', '_')}.json")
     text = _encode(report)
     with open(filename, "w") as fh:
         _write_blocks(fh, text, len(text))

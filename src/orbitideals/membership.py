@@ -83,18 +83,6 @@ class MembershipVerdict:
         return out
 
 
-class _Block:
-    """One torus-weight block of a graded piece: its rows g * m in piece
-    order, and their exact row-reduced basis with provenance."""
-
-    def __init__(self, rows, nonzeros: int, key):
-        self.rows = rows
-        self.nonzeros = nonzeros
-        self.basis = TriangularBasis(key, track=True)
-        for tag, terms in rows:
-            self.basis.insert(terms, tag)
-
-
 class GradedPiece:
     """The degree-d slice of the ideal generated by homogeneous polynomials,
     split into torus-weight blocks that are built and eliminated on first
@@ -123,7 +111,11 @@ class GradedPiece:
             if not g.is_zero() and g.degree <= degree
         ]
         self._graded = all(w is not None for _, _, w in self._row_gens)
-        self._blocks: dict[tuple, _Block] = {}
+        # weight -> exact row-reduced basis of its rows, with provenance
+        self._blocks: dict[tuple, TriangularBasis] = {}
+        # totals over the blocks built so far; a fresh piece has built none
+        self.rows: list[tuple] = []  # (gen index, multiplier) of every row
+        self.nonzeros = 0
         self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> monomials
         self._key = lambda mon: term_key(n, mon)
 
@@ -149,23 +141,15 @@ class GradedPiece:
                 rows.append(((gi, m), {mon_mul(t, m): c for t, c in g.terms.items()}))
         return rows
 
-    def _block(self, w: tuple) -> _Block:
-        block = self._blocks.get(w)
-        if block is None:
-            rows = self._block_rows(w)
-            block = _Block(rows, sum(len(t) for _, t in rows), self._key)
-            self._blocks[w] = block
-        return block
-
-    # Totals over the blocks built so far; a fresh piece has built none.
-
-    @property
-    def rows(self) -> list[tuple[tuple, dict]]:
-        return [row for b in self._blocks.values() for row in b.rows]
-
-    @property
-    def nonzeros(self) -> int:
-        return sum(b.nonzeros for b in self._blocks.values())
+    def _block(self, w: tuple) -> TriangularBasis:
+        basis = self._blocks.get(w)
+        if basis is None:
+            basis = self._blocks[w] = TriangularBasis(self._key, track=True)
+            for tag, terms in self._block_rows(w):
+                basis.insert(terms, tag)
+                self.rows.append(tag)
+                self.nonzeros += len(terms)
+        return basis
 
     def contains(self, f: Polynomial) -> MembershipVerdict:
         if f.n != self.n:
@@ -180,7 +164,7 @@ class GradedPiece:
         combination = []
         free: dict = {}  # residual column -> the basis of its block
         for w, terms in components.items():
-            basis = self._block(w).basis
+            basis = self._block(w)
             residual, combo = basis.reduce(terms)
             if residual:
                 free.update(dict.fromkeys(residual, basis))

@@ -167,7 +167,7 @@ def check_vanishing(mu: Partition, i: int, p: int) -> VanishingReport:
     of mu by evaluating its sorted spanning pairs (P, Q) at J_mu.
 
     For depths in the nonzero range the space vanishes iff
-    p >= critical_size(mu, i); otherwise the first (P, Q), in P-major
+    p >= mu.critical_size(i); otherwise the first (P, Q), in P-major
     lexicographic order, whose sum is nonzero at J_mu is the witness.
     """
     n = mu.n

@@ -3,7 +3,7 @@
 A partition mu of n records the Jordan block sizes of a nilpotent orbit.
 The defining ideal of the orbit closure is generated by the conjugation
 invariants of degree 1..mu_1 together with the prefixed-minor-sum spaces of
-depth i and size critical_size(mu, i); the minimal schedule keeps exactly
+depth i and size mu.critical_size(i); the minimal schedule keeps exactly
 those depths i >= 2 satisfying
 
     critical_size(i) < critical_size(i-1) + (critical_size(i-1) - 1) // (i - 1)
@@ -20,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .schur import layer_dimension
-
-INVARIANT = "invariant"
-MINOR_SPACE = "minor_space"
 
 
 class Partition:
@@ -70,7 +67,7 @@ class Partition:
         return f"Partition({self.parts})"
 
     def __str__(self):
-        return format_partition(self)
+        return ",".join(map(str, self.parts))
 
     def conjugate(self) -> "Partition":
         """Column lengths of the Young diagram: entry i counts parts >= i."""
@@ -86,14 +83,6 @@ class Partition:
         return sum(self.parts[:i]) - i + 1
 
 
-def conjugate(mu: Partition) -> Partition:
-    return mu.conjugate()
-
-
-def critical_size(mu: Partition, i: int) -> int:
-    return mu.critical_size(i)
-
-
 def parse_partition(text: str) -> Partition:
     """Parse "3,3,2" or the exponent shorthand "3^2,2"."""
     parts: list[int] = []
@@ -107,20 +96,6 @@ def parse_partition(text: str) -> Partition:
         else:
             parts.append(int(token))
     return Partition(parts)
-
-
-def format_partition(mu: Partition, exponents: bool = False) -> str:
-    if not exponents:
-        return ",".join(str(v) for v in mu.parts)
-    out = []
-    k = 0
-    while k < len(mu.parts):
-        j = k
-        while j < len(mu.parts) and mu.parts[j] == mu.parts[k]:
-            j += 1
-        out.append(str(mu.parts[k]) if j - k == 1 else f"{mu.parts[k]}^{j - k}")
-        k = j
-    return ",".join(out)
 
 
 def partitions_of(n: int):
@@ -145,29 +120,18 @@ def partitions_of(n: int):
 
 @dataclass(frozen=True)
 class GeneratorDescriptor:
-    """One generator family: an invariant (i = 0) or a minor-sum space."""
+    """One minor-sum space of a schedule: depth i, size p (its degree) and
+    the dimension of its layer."""
 
-    kind: str
     i: int
     p: int
-    degree: int
     dimension: int
-
-    def __post_init__(self):
-        if (self.kind == INVARIANT) != (self.i == 0):
-            raise ValueError("invariants are exactly the depth-0 families")
-        if self.kind == INVARIANT and self.dimension != 1:
-            raise ValueError("invariants are one-dimensional")
-        if self.degree != self.p or self.p < 1:
-            raise ValueError("degree must equal the minor size")
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Generator schedule: invariant degrees plus minor-space descriptors."""
 
-    partition: Partition
-    n: int
     invariant_degrees: tuple[int, ...]
     minor_spaces: tuple[GeneratorDescriptor, ...]
 
@@ -185,24 +149,6 @@ def minor_space_vanishes(n: int, i: int, p: int) -> bool:
     return i > min(p, n - p)
 
 
-def _minor_descriptor(n: int, i: int, p: int) -> GeneratorDescriptor:
-    return GeneratorDescriptor(
-        kind=MINOR_SPACE, i=i, p=p, degree=p, dimension=layer_dimension(n, i)
-    )
-
-
-def full_schedule(mu: Partition) -> Schedule:
-    """The generating (generally redundant) schedule: every nonzero
-    depth-i space at its critical size, plus all invariants up to mu_1."""
-    n = mu.n
-    spaces = []
-    for i in range(1, len(mu) + 1):
-        p = mu.critical_size(i)
-        if not minor_space_vanishes(n, i, p):
-            spaces.append(_minor_descriptor(n, i, p))
-    return Schedule(mu, n, tuple(range(1, mu.parts[0] + 1)), tuple(spaces))
-
-
 def admits_minor_space(mu: Partition, i: int) -> bool:
     """Minimal-schedule admission rule for depth i (ignores the zero test).
 
@@ -217,17 +163,38 @@ def admits_minor_space(mu: Partition, i: int) -> bool:
     return mu.critical_size(i) < prev + (prev - 1) // (i - 1)
 
 
-def minimal_schedule(mu: Partition) -> Schedule:
-    """The minimal generator schedule."""
-    n = mu.n
+def _schedule(mu: Partition, n: int, minimal: bool) -> Schedule:
+    """Invariant degrees n-|mu|+1 .. n-|mu|+mu_1 and every depth-i space
+    that is nonzero in n x n matrices, at its critical size; when minimal,
+    only the depths the admission rule admits."""
+    shift = n - mu.n
     spaces = []
     for i in range(1, len(mu) + 1):
         p = mu.critical_size(i)
-        if minor_space_vanishes(n, i, p):
-            continue
-        if admits_minor_space(mu, i):
-            spaces.append(_minor_descriptor(n, i, p))
-    return Schedule(mu, n, tuple(range(1, mu.parts[0] + 1)), tuple(spaces))
+        if not minor_space_vanishes(n, i, p) and (not minimal or admits_minor_space(mu, i)):
+            spaces.append(GeneratorDescriptor(i, p, layer_dimension(n, i)))
+    return Schedule(tuple(range(shift + 1, shift + mu.parts[0] + 1)), tuple(spaces))
+
+
+def full_schedule(mu: Partition) -> Schedule:
+    """The generating (generally redundant) schedule: every nonzero
+    depth-i space at its critical size, plus all invariants up to mu_1."""
+    return _schedule(mu, mu.n, False)
+
+
+def minimal_schedule(mu: Partition) -> Schedule:
+    """The minimal generator schedule."""
+    return _schedule(mu, mu.n, True)
+
+
+def rank_variety_schedule(mu: Partition, n: int) -> Schedule:
+    """Schedule for the rank variety of mu (a partition of l <= n) inside
+    n x n matrices: the minimal schedule read at ambient size n, with
+    invariants of degrees n-l+1 .. n-l+mu_1 and the literal unshifted
+    critical sizes (flagged as literal in CLI output)."""
+    if mu.n > n:
+        raise ValueError(f"partition total {mu.n} exceeds matrix size {n}")
+    return _schedule(mu, n, True)
 
 
 def excluded_depths(mu: Partition) -> tuple[int, ...]:
@@ -291,23 +258,3 @@ def redundancy_witness(mu: Partition, i: int) -> Partition:
     if f:
         parts.append(f)
     return Partition(parts)
-
-
-def rank_variety_schedule(mu: Partition, n: int) -> Schedule:
-    """Schedule for the rank variety of mu (a partition of l <= n) inside
-    n x n matrices: invariants of degrees n-l+1 .. n-l+mu_1, and the minor
-    spaces passing the admission rule, read literally with unshifted
-    critical sizes (flagged as literal in CLI output)."""
-    l = mu.n
-    if l > n:
-        raise ValueError(f"partition total {l} exceeds matrix size {n}")
-    spaces = []
-    for i in range(1, len(mu) + 1):
-        p = mu.critical_size(i)
-        if minor_space_vanishes(n, i, p):
-            continue
-        if admits_minor_space(mu, i):
-            spaces.append(_minor_descriptor(n, i, p))
-    return Schedule(
-        mu, n, tuple(range(n - l + 1, n - l + mu.parts[0] + 1)), tuple(spaces)
-    )

@@ -22,8 +22,6 @@ from orbitideals.membership import (
 from orbitideals.minors import family_rank, minor_sum_basis
 from orbitideals.partitions import (
     Partition,
-    conjugate,
-    critical_size,
     excluded_depths,
     full_schedule,
     minimal_schedule,
@@ -82,7 +80,7 @@ def test_criterion_2_witness_reproduction():
     t0 = time.time()
     w = necessity_witness(parse_partition("4,2^3,1^5"), 3)
     assert w.parts == (3, 3, 3, 2, 1, 1, 1, 1)
-    assert conjugate(w).parts == (8, 4, 3)
+    assert w.conjugate().parts == (8, 4, 3)
     for n in range(1, 13):
         for mu in partitions_of(n):
             for i, p in minimal_schedule(mu).minor_pairs():
@@ -91,8 +89,8 @@ def test_criterion_2_witness_reproduction():
                 witness = necessity_witness(mu, i)
                 assert witness.n == mu.n
                 for j in range(1, i):
-                    assert critical_size(witness, j) <= critical_size(mu, j)
-                assert critical_size(witness, i) > p
+                    assert witness.critical_size(j) <= mu.critical_size(j)
+                assert witness.critical_size(i) > p
     elapsed = time.time() - t0
     assert elapsed < 10.0
     _report("2 witness reproduction", elapsed)
@@ -123,7 +121,7 @@ def test_criterion_4_vanishing():
                 r = check_vanishing(mu, d.i, d.p)
                 assert r.all_zero, (mu, d.i, d.p)
             for i in range(1, len(mu) + 1):
-                ci = critical_size(mu, i)
+                ci = mu.critical_size(i)
                 if ci > i:
                     r = check_vanishing(mu, i, ci - 1)
                     assert not r.all_zero, (mu, i, ci - 1)

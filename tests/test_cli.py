@@ -1,3 +1,4 @@
+import argparse
 import json
 import types
 from importlib import resources
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from orbitideals import cli
 from orbitideals.cli import main, render_diagram
 from orbitideals.partitions import minimal_schedule, parse_partition, partitions_of
+from orbitideals.schur import layer_dimension
 
 
 def run(capsys, *argv):
@@ -91,6 +93,35 @@ def test_rank_variety_schedule_flagged(capsys):
     assert report["rank_variety"] is True
     assert report["invariants"] == [2, 3]
     assert "note" in report
+
+
+def test_schedule_ambient_below_partition_total(capsys):
+    code, out, err = run(capsys, "schedule", "--partition", "3,2", "--n", "4", "--json")
+    assert (code, out) == (2, "")
+    assert "partition total 5 exceeds matrix size 4" in err
+
+
+def test_schedule_descriptors_sweep(capsys):
+    # every mu of n <= 7, square and inside (n+2) x (n+2) matrices
+    for n in range(1, 8):
+        for mu in partitions_of(n):
+            for ambient in (n, n + 2):
+                extra = ("--n", str(ambient)) if ambient > n else ()
+                code, out, _ = run(capsys, "schedule", "--partition", str(mu), *extra, "--json")
+                assert code == 0
+                report = validate_report(out)
+                assert report["n"] == ambient
+                rank_variety = ambient > n
+                assert report["rank_variety"] is rank_variety
+                assert ("note" in report) is rank_variety
+                lists = [report["minimal"]]
+                if rank_variety:
+                    assert report["full"] is None
+                else:
+                    lists.append(report["full"])
+                for d in (d for descriptors in lists for d in descriptors):
+                    assert d["degree"] == d["p"], (mu, ambient, d)
+                    assert d["dimension"] == layer_dimension(ambient, d["i"]), (mu, ambient, d)
 
 
 def test_generators_writes_file(tmp_path, monkeypatch, capsys):
@@ -276,6 +307,25 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["membership", "--rel1", "--n", "3", "--partition", "2,1"]) == 2
     assert main(["membership", "--partition", "2,2", "--i", "2", "--n", "4"]) == 2
     assert main(["membership", "--rel1", "--n", "3", "--i", "2"]) == 2
+
+
+def test_config_echoes_only_declared_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {a.dest for a in p._actions} & {"partition", "n", "max_n"}
+        for name, p in sub.choices.items()
+    }
+    seen = set()
+    for argv in [*SUBCOMMANDS, ("generators", "--partition", "2,1")]:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        config = json.loads(out)["config"]
+        assert set(config) == declared[argv[0]] | {"output"}, argv
+        assert config["output"] == "json"
+        seen.add(argv[0])
+    assert seen == set(declared)
 
 
 def test_text_and_json_share_facts(capsys):

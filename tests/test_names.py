@@ -7,9 +7,11 @@ every package, test and benchmark module without running them.
 
 The benchmark's tracer (`perfbench/tracer.py`) wraps package functions by
 name when it installs, so a renamed or deleted function breaks every traced
-benchmark run; the last tests check that every name it lists resolves.
+benchmark run; the tracer tests check that every name it lists resolves.
+The last test checks the package's export list against what it imports.
 """
 
+import ast
 import builtins
 import importlib
 import importlib.util
@@ -99,3 +101,21 @@ def test_values_the_benchmark_hooks_read():
     assert hash(sample_orbit(Partition((2, 1)), 0).matrix) is not None
     piece = GradedPiece(3, [principal_minor_sum(3, 1)], 2)
     assert (len(piece.rows), piece.nonzeros, piece.path) == (0, 0, "exact")
+
+
+def test_export_list_matches_imports():
+    # a name dropped from a module but left in __all__ fails here, not at
+    # a user's `from orbitideals import *`
+    package = importlib.import_module("orbitideals")
+    exported = package.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(package, name)] == []
+    tree = ast.parse((ROOT / "src" / "orbitideals" / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert imported - set(exported) == set()

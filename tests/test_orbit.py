@@ -13,7 +13,7 @@ from orbitideals.orbit import (
     prefixed_sum_at_jordan,
     sample_orbit,
 )
-from orbitideals.partitions import Partition, critical_size, partitions_of
+from orbitideals.partitions import Partition, partitions_of
 from orbitideals.polyring import Polynomial, term_key
 
 
@@ -185,7 +185,7 @@ def test_sharpness_witnesses_reevaluate():
         for mu in partitions_of(n):
             j = jordan_matrix(mu)
             for i in range(1, len(mu) + 1):
-                p = critical_size(mu, i) - 1
+                p = mu.critical_size(i) - 1
                 if p < i:
                     continue
                 r = check_vanishing(mu, i, p)
