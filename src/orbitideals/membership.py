@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .linalg import TriangularBasis, apply_functional
 from .minors import principal_minor_sum
-from .orbit import jordan_matrix
+from .orbit import jordan_matrix, prefixed_sum_at_jordan
 from .partitions import (
     Partition,
     excluded_depths,
@@ -44,7 +44,7 @@ from .polyring import (
     monomials_of_weight,
     term_key,
 )
-from .schur import layer_basis
+from .schur import layer_basis, layer_tags
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -336,23 +336,35 @@ def _depth_one_witness(mu: Partition) -> Partition:
 
 def _point_certificate_check(mu: Partition, i: int, p: int, witness: Partition) -> MinimalityCheck:
     """Check that every earlier scheduled generator vanishes at the Jordan
-    matrix of the witness orbit and some candidate does not."""
-    _, earlier = scheduled_generators(mu, before_depth=i)
-    point = jordan_matrix(witness)
-    bad = [gi for gi, g in enumerate(earlier) if g.evaluate(point) != 0]
+    matrix of the witness orbit and some candidate does not.
+
+    Each generator is the prefixed sum of a tag (P, Q), so its value there
+    is the signed count `prefixed_sum_at_jordan` and nothing is expanded.
+    The generators are numbered as in `scheduled_generators`: the
+    invariants, tag ((), ()), then the earlier layers' `layer_tags`."""
+    n = mu.n
+    sched = minimal_schedule(mu)
+    earlier = [((), (), q) for q in sched.invariant_degrees]
+    earlier += [(P, Q, d.p) for d in sched.minor_spaces if d.i < i for P, Q in layer_tags(n, d.i)]
+    bad = [gi for gi, tag in enumerate(earlier) if prefixed_sum_at_jordan(witness, *tag) != 0]
     if bad:
         detail = {"witness": str(witness), "nonvanishing_generators": bad}
         return MinimalityCheck("minor_space", i, p, NON_MEMBER, "mismatch", False, detail)
-    for idx, cand in enumerate(layer_basis(mu.n, i, p)):
-        if cand.evaluate(point) != 0:
-            detail = {"witness": str(witness), "element": idx, "point": point}
+    for idx, (P, Q) in enumerate(layer_tags(n, i)):
+        if prefixed_sum_at_jordan(witness, P, Q, p) != 0:
+            detail = {"witness": str(witness), "element": idx, "point": jordan_matrix(witness)}
             return MinimalityCheck("minor_space", i, p, NON_MEMBER, NON_MEMBER, True, detail)
     detail = {"witness": str(witness)}
     return MinimalityCheck("minor_space", i, p, NON_MEMBER, "inconclusive", False, detail)
 
 
 def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
-    """Re-verify a stored vanishing-point certificate exactly."""
+    """Re-verify a stored vanishing-point certificate exactly.
+
+    Unlike `_point_certificate_check`, this expands the generators and the
+    candidate and evaluates the polynomials at the stored `point`, so it
+    rechecks the matrix as stored, independently of the signed count at a
+    Jordan matrix."""
     point = detail["point"]
     _, earlier = scheduled_generators(mu, before_depth=i)
     candidate = layer_basis(mu.n, i, mu.critical_size(i))[detail["element"]]

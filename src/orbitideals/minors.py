@@ -150,20 +150,6 @@ def minor_sum_family(n: int, prefix_len: int, size: int):
             yield (P, Q), prefixed_minor_sum(n, P, Q, size)
 
 
-def greedy_extension(n: int, span, family) -> tuple[Polynomial, ...]:
-    """The polynomials of a `minor_sum_family`, in its order, that are
-    independent of the independent sequence `span` and of those kept
-    before them."""
-    basis = TriangularBasis(lambda mon: term_key(n, mon))
-    for poly in span:
-        basis.insert(poly.terms)
-    kept = []
-    for _, poly in family:
-        if not poly.is_zero() and basis.insert(poly.terms):
-            kept.append(poly)
-    return tuple(kept)
-
-
 @lru_cache(maxsize=None)
 def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...]:
     """Maximal linearly independent subfamily of the prefixed minor sums,
@@ -171,7 +157,12 @@ def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...
 
     The cardinality equals C(n, m)^2 with m = min(prefix_len, size, n-size).
     """
-    return greedy_extension(n, (), minor_sum_family(n, prefix_len, size))
+    basis = TriangularBasis(lambda mon: term_key(n, mon))
+    return tuple(
+        poly
+        for _, poly in minor_sum_family(n, prefix_len, size)
+        if not poly.is_zero() and basis.insert(poly.terms)
+    )
 
 
 def family_rank(n: int, prefix_len: int, size: int) -> int:

@@ -1,4 +1,5 @@
-"""Dimension bookkeeping for the layers of the minor-sum filtration.
+"""Dimension bookkeeping for the layers of the minor-sum filtration, and
+the choice of layer representatives by their prefix pairs.
 
 For fixed minor size p, the spans of the prefixed minor sums form an
 increasing filtration in the prefix depth i, stabilizing at depth
@@ -8,14 +9,33 @@ partial sums of the layer dimensions are forced to C(n, m)^2.  That pins
 the j-th layer dimension to C(n, j)^2 - C(n, j-1)^2; the closed form is
 cross-checked against exact rank computations rather than trusted
 (see family_rank and the test suite).
+
+The representatives need no polynomial.  Let i <= min(p, n-p) and let
+phi_p send the i x i minor (P|Q) to the prefixed sum sum_J (P,J|Q,J) of
+size p.  For a depth i' <= i, phi_p maps the depth-i' sum of (P',Q') at
+size i to C(p-i', i-i') times the depth-i' sum of (P',Q') at size p: each
+tail L of size p-i' splits into (K, J) in C(p-i', i-i') ways, and the row
+and column tails are permuted alike, so the signs cancel.  So phi_p maps
+V(i,i) onto V(i,p), and since dim V(i,p) = C(n,i)^2 = dim V(i,i) it is an
+isomorphism that sends each family onto nonzero multiples of the same
+family at size p.  Linear dependencies among prefixed sums therefore do
+not depend on p, and `layer_tags` makes the greedy choice at size i, where
+a depth-i' sum is a vector of signs over the C(n,i)^2 minors (R|C).
+
+That argument rests on the closed form dim V(i,p) = C(n,i)^2, which is the
+trust boundary of the selection: `family_rank` checks it by expansion and
+elimination, and the tests compare `layer_basis` with the expanded greedy
+choice.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import comb
 
-from .minors import greedy_extension, minor_sum_basis, minor_sum_family
+from .linalg import TriangularBasis
+from .minors import prefixed_minor_sum, sort_with_sign
 from .polyring import Polynomial
 
 
@@ -36,23 +56,64 @@ def dimension_table(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def layer_tags(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The prefix pairs (P, Q), |P| = |Q| = i, of the depth-i layer
+    representatives, for every minor size p with i <= min(p, n-p).
+
+    Computed at size i with no polynomial: the depth-(i-1) sum of (P', Q')
+    is the vector sum over k outside P' and Q' of sign * (sort(P'+k) |
+    sort(Q'+k)) over the minors (R|C), each column keyed by the lex index of
+    (R, C).  After all of them are inserted, the unit vectors (P|Q) that
+    raise the rank, in lex (P, Q) order, are kept (see the module docstring
+    for why the choice holds at every such p).  Past depth n // 2 the
+    result is empty.
+    """
+    if not (1 <= i <= n):
+        raise ValueError(f"depth must lie in 1..{n}")
+    subsets = list(itertools.combinations(range(1, n + 1), i))
+    index = {s: k for k, s in enumerate(subsets)}
+    width = len(subsets)
+    basis = TriangularBasis(lambda col: col)
+    prefixes = list(itertools.combinations(range(1, n + 1), i - 1))
+    for P in prefixes:
+        for Q in prefixes:
+            vec = {}
+            for k in range(1, n + 1):
+                if k in P or k in Q:
+                    continue
+                rows, rsign = sort_with_sign(P + (k,))
+                cols, csign = sort_with_sign(Q + (k,))
+                vec[index[rows] * width + index[cols]] = rsign * csign
+            basis.insert(vec)
+    kept = []
+    for P in subsets:
+        for Q in subsets:
+            # once the basis spans all C(n,i)^2 minors, nothing raises the rank
+            if basis.rank < width * width and basis.insert({index[P] * width + index[Q]: 1}):
+                kept.append((P, Q))
+    return tuple(kept)
+
+
+@lru_cache(maxsize=None)
 def layer_basis(n: int, i: int, p: int) -> tuple[Polynomial, ...]:
     """Representatives of the depth-i layer inside the depth-i span.
 
-    Returns family members extending the basis minor_sum_basis(n, i-1, p)
-    of the depth-(i-1) span to one of the depth-i span; there are
-    layer_dimension(n, i) of them.  The greedy choice depends only on the
-    span already inserted, so they are the members that would extend the
-    whole depth-(i-1) family.  These representatives generate the same
-    ideal contribution as the canonical layer, which is all the generator
-    constructions need.  Out of the nonzero range (i < 1 or
-    i > min(p, n-p)) the layer is zero and the result is empty.
+    The prefixed sums of size p of the pairs `layer_tags(n, i)`: they extend
+    any basis of the depth-(i-1) span to one of the depth-i span, and there
+    are layer_dimension(n, i) of them.  They are the members the expanded
+    greedy choice keeps, because the size-p families are isomorphic images
+    of the size-i ones (module docstring); this rests on
+    dim V(i,p) = C(n,i)^2, which `family_rank` and the tests cross-check.
+    These representatives generate the same ideal contribution as the
+    canonical layer, which is all the generator constructions need.  Out
+    of the nonzero range (i < 1 or i > min(p, n-p)) the layer is zero and
+    the result is empty.
     """
     if not (1 <= p <= n):
         raise ValueError(f"minor size must lie in 1..{n}")
     if i < 1 or i > min(p, n - p):
         return ()
-    kept = greedy_extension(n, minor_sum_basis(n, i - 1, p), minor_sum_family(n, i, p))
+    kept = tuple(prefixed_minor_sum(n, P, Q, p) for P, Q in layer_tags(n, i))
     expected = layer_dimension(n, i)
     if len(kept) != expected:
         raise RuntimeError(

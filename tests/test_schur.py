@@ -1,12 +1,16 @@
+import os
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from orbitideals import minors
 from orbitideals.linalg import TriangularBasis
 from orbitideals.minors import family_rank, minor_sum_family
 from orbitideals.polyring import term_key
-from orbitideals.schur import dimension_table, layer_basis, layer_dimension
+from orbitideals.schur import dimension_table, layer_basis, layer_dimension, layer_tags
+
+LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
 
 def test_layer_dimension_values():
@@ -81,7 +85,39 @@ def two_family_layer(n, i, p):
 
 
 def test_layer_basis_matches_two_family_greedy():
-    for n in range(1, 6):
-        for p in range(1, n + 1):
-            for i in range(0, n + 1):
-                assert layer_basis(n, i, p) == two_family_layer(n, i, p), (n, i, p)
+    # every n <= 6, and n = 7 up to size 4 (every size in the large run)
+    cases = [(n, p) for n in range(1, 7) for p in range(1, n + 1)]
+    cases += [(7, p) for p in range(1, 8 if LARGE else 5)]
+    for n, p in cases:
+        for i in range(0, n + 1):
+            assert layer_basis(n, i, p) == two_family_layer(n, i, p), (n, i, p)
+
+
+def test_layer_tags_count_is_the_layer_dimension():
+    # the closed form at sizes far past the expanded cross-check (n <= 4)
+    for n in range(1, 11 if LARGE else 10):
+        for i in range(1, n // 2 + 1):
+            assert len(layer_tags(n, i)) == layer_dimension(n, i), (n, i)
+
+
+def test_layer_tags_examples():
+    assert layer_tags(2, 1) == (((1,), (1,)), ((1,), (2,)), ((2,), (1,)))
+    # the trace is the only depth-0 sum, so only (1|1) ... (n|n) can be
+    # dependent: the last diagonal minor is dropped
+    tags = layer_tags(3, 1)
+    assert len(tags) == 8 and ((3,), (3,)) not in tags
+    assert layer_tags(3, 2) == ()
+    with pytest.raises(ValueError):
+        layer_tags(3, 0)
+    with pytest.raises(ValueError):
+        layer_tags(3, 4)
+
+
+def test_layer_tags_expand_no_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("layer selection expanded a minor")
+
+    monkeypatch.setattr(minors, "minor", refuse)
+    layer_tags.cache_clear()
+    assert len(layer_tags(7, 3)) == layer_dimension(7, 3)
+
