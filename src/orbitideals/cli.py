@@ -1,9 +1,10 @@
 """Command-line front end: schedules, generator export, dimension tables,
 witnesses, membership oracles, and the full verification pipeline.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-refusal.  Reports are byte-identical across runs with the same configuration;
-the JSON shape is described by report_schema.json shipped with the package.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (or an
+unwritable generators file), 3 resource refusal.  Reports are
+byte-identical across runs with the same configuration; the JSON shape is
+described by report_schema.json shipped with the package.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .membership import MEMBER, GradedPiece, verify_minimal, verify_redundant
-from .minors import family_rank, minor_sum_basis, principal_minor_sum
+from .membership import MEMBER, GradedPiece, _layer_name, verify_minimal, verify_redundant
+from .minors import family_rank
 from .orbit import check_vanishing
 from .partitions import (
     Partition,
@@ -226,26 +227,14 @@ def cmd_generators(args) -> int:
     if _refused(n, args, f" (about {count} generators of degree up to {mu.critical_size(len(mu))})"):
         return 3
     families = []
-    for p in sched.invariant_degrees:
-        poly = principal_minor_sum(n, p)
+    for i, p in sched.layers():
+        basis = layer_basis(n, i, p)
         families.append(
             {
-                "family": f"t_{p}",
-                "i": 0,
+                "family": _layer_name(i, p),
+                "i": i,
                 "p": p,
                 "degree": p,
-                "count": 1,
-                "polynomials": [poly.to_records()],
-            }
-        )
-    for d in sched.minor_spaces:
-        basis = layer_basis(n, d.i, d.p)
-        families.append(
-            {
-                "family": f"U_({d.i},{d.p})",
-                "i": d.i,
-                "p": d.p,
-                "degree": d.p,
                 "count": len(basis),
                 "polynomials": [poly.to_records() for poly in basis],
             }
@@ -260,9 +249,12 @@ def cmd_generators(args) -> int:
     workdir = os.environ.get(WORKDIR_ENV, ".")
     filename = os.path.join(workdir, f"generators_{str(mu).replace(',', '_')}.json")
     text = _encode(report)
-    with open(filename, "w") as fh:
-        _write_blocks(fh, text, len(text))
-        fh.write("\n")
+    try:
+        with open(filename, "w") as fh:
+            _write_blocks(fh, text, len(text))
+            fh.write("\n")
+    except OSError as exc:
+        return _usage_error(str(exc))
     if args.json:
         # stdout is the file's report with "path" added; sorted, that key
         # falls just before "report", the last key of the top-level object
@@ -367,13 +359,17 @@ def cmd_membership(args) -> int:
         n = args.n
         if _refused(n, args):
             return 3
+
+        def span(i, q):
+            """A basis of V(i,q): the layers of depth 0..i at size q."""
+            return [g for j in range(i + 1) for g in layer_basis(n, j, q)]
+
         results = []
         ok = True
         for p in range(1, n):
             for i in range(1, p + 1):
-                gens = minor_sum_basis(n, i, p)
-                piece = GradedPiece(n, gens, p + 1)
-                statuses = [piece.contains(c).status for c in minor_sum_basis(n, i, p + 1)]
+                piece = GradedPiece(n, span(i, p), p + 1)
+                statuses = [piece.contains(c).status for c in span(i, p + 1)]
                 all_member = all(s == MEMBER for s in statuses)
                 ok = ok and all_member
                 results.append({"i": i, "p": p, "all_member": all_member})
@@ -434,14 +430,9 @@ def cmd_verify(args) -> int:
     vanishing = []
     sharpness = []
     if run_vanishing:
-        sched = full_schedule(mu)
-        for p in sched.invariant_degrees:
-            r = check_vanishing(mu, 0, p)
-            vanishing.append({"i": 0, "p": p, "all_zero": r.all_zero, "expected": True})
-            ok = ok and r.all_zero
-        for d in sched.minor_spaces:
-            r = check_vanishing(mu, d.i, d.p)
-            vanishing.append({"i": d.i, "p": d.p, "all_zero": r.all_zero, "expected": True})
+        for i, p in full_schedule(mu).layers():
+            r = check_vanishing(mu, i, p)
+            vanishing.append({"i": i, "p": p, "all_zero": r.all_zero, "expected": True})
             ok = ok and r.all_zero
         for i in range(1, len(mu) + 1):
             ci = mu.critical_size(i)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import TriangularBasis, apply_functional
-from .minors import principal_minor_sum
 from .orbit import jordan_matrix, prefixed_sum_at_jordan
 from .partitions import (
     Partition,
@@ -221,25 +220,27 @@ def ideal_contains(f: Polynomial, gens) -> MembershipVerdict:
 # -- schedule verification ---------------------------------------------------
 
 
+def _layer_name(i: int, p: int, k: int | None = None) -> str:
+    """t_p for the invariant layer (i = 0), else U_(i,p), or U_(i,p)[k]
+    for its k-th member."""
+    if i == 0:
+        return f"t_{p}"
+    return f"U_({i},{p})" if k is None else f"U_({i},{p})[{k}]"
+
+
 def scheduled_generators(mu: Partition, before_depth: int | None = None):
     """The minimal-schedule generator polynomials, with labels.
 
-    Returns (labels, polynomials): all invariants, then the layer bases of
-    the scheduled minor spaces with depth < before_depth (all when None).
+    Returns (labels, polynomials): the bases of the schedule's `layers()`,
+    invariants first, of depth < before_depth (all when None).
     """
-    n = mu.n
-    sched = minimal_schedule(mu)
     labels: list[str] = []
     gens: list[Polynomial] = []
-    for p in sched.invariant_degrees:
-        labels.append(f"t_{p}")
-        gens.append(principal_minor_sum(n, p))
-    for d in sched.minor_spaces:
-        if before_depth is not None and d.i >= before_depth:
-            continue
-        for k, poly in enumerate(layer_basis(n, d.i, d.p)):
-            labels.append(f"U_({d.i},{d.p})[{k}]")
-            gens.append(poly)
+    for i, p in minimal_schedule(mu).layers():
+        if before_depth is None or i < before_depth:
+            for k, poly in enumerate(layer_basis(mu.n, i, p)):
+                labels.append(_layer_name(i, p, k))
+                gens.append(poly)
     return labels, gens
 
 
@@ -341,11 +342,9 @@ def _point_certificate_check(mu: Partition, i: int, p: int, witness: Partition) 
     Each generator is the prefixed sum of a tag (P, Q), so its value there
     is the signed count `prefixed_sum_at_jordan` and nothing is expanded.
     The generators are numbered as in `scheduled_generators`: the
-    invariants, tag ((), ()), then the earlier layers' `layer_tags`."""
+    `layer_tags` of every earlier layer, the invariants first."""
     n = mu.n
-    sched = minimal_schedule(mu)
-    earlier = [((), (), q) for q in sched.invariant_degrees]
-    earlier += [(P, Q, d.p) for d in sched.minor_spaces if d.i < i for P, Q in layer_tags(n, d.i)]
+    earlier = [(P, Q, q) for j, q in minimal_schedule(mu).layers() if j < i for P, Q in layer_tags(n, j)]
     bad = [gi for gi, tag in enumerate(earlier) if prefixed_sum_at_jordan(witness, *tag) != 0]
     if bad:
         detail = {"witness": str(witness), "nonvanishing_generators": bad}
@@ -390,12 +389,10 @@ def verify_minimal(mu: Partition) -> MinimalityReport:
         witness = necessity_witness(mu, d.i) if d.i >= 2 else _depth_one_witness(mu)
         checks.append(_point_certificate_check(mu, d.i, d.p, witness))
 
-    labels, gens = scheduled_generators(mu)
-    for p in sched.invariant_degrees:
-        others = [
-            g for lbl, g in zip(labels, gens) if lbl != f"t_{p}"
-        ]
-        verdict = ideal_contains(principal_minor_sum(n, p), others)
+    _, gens = scheduled_generators(mu)
+    # the invariant layers come first, one generator each
+    for k, p in enumerate(sched.invariant_degrees):
+        verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
         ok = verdict.status == NON_MEMBER
         checks.append(
             MinimalityCheck(

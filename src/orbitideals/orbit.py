@@ -171,8 +171,8 @@ def check_vanishing(mu: Partition, i: int, p: int) -> VanishingReport:
     lexicographic order, whose sum is nonzero at J_mu is the witness.
     """
     n = mu.n
-    if i != 0 and not (1 <= i <= min(p, n - p)):
-        raise ValueError(f"depth must be 0 or lie in 1..min({p},{n - p})")
+    if not (0 <= i <= min(p, n - p)):
+        raise ValueError(f"depth must lie in 0..min({p},{n - p})")
     subsets = list(itertools.combinations(range(1, n + 1), i))
     for P in subsets:
         for Q in subsets:

@@ -17,6 +17,7 @@ generated by the earlier ones.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .schur import layer_dimension
@@ -84,17 +85,15 @@ class Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3,3,2" or the exponent shorthand "3^2,2"."""
+    """Parse "3,3,2" or the exponent shorthand "3^2,2": a part is ASCII
+    digits, and an exponent is ASCII digits worth at least 1."""
     parts: list[int] = []
     for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError("empty part in partition string")
-        if "^" in token:
-            base, _, exp = token.partition("^")
-            parts.extend([int(base)] * int(exp))
-        else:
-            parts.append(int(token))
+        m = re.fullmatch(r"([0-9]+)(?:\^([0-9]+))?", token.strip())
+        count = int(m[2] or 1) if m else 0
+        if count < 1:
+            raise ValueError(f"part {token.strip()!r} is not k or k^e with e >= 1")
+        parts.extend([int(m[1])] * count)
     return Partition(parts)
 
 
@@ -142,6 +141,11 @@ class Schedule:
 
     def minor_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((d.i, d.p) for d in self.minor_spaces)
+
+    def layers(self) -> tuple[tuple[int, int], ...]:
+        """Every generator layer (i, p) in generator order: the invariants
+        t_p as depth 0, then the minor spaces."""
+        return tuple((0, p) for p in self.invariant_degrees) + self.minor_pairs()
 
 
 def minor_space_vanishes(n: int, i: int, p: int) -> bool:

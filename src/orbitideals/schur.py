@@ -26,6 +26,9 @@ That argument rests on the closed form dim V(i,p) = C(n,i)^2, which is the
 trust boundary of the selection: `family_rank` checks it by expansion and
 elimination, and the tests compare `layer_basis` with the expanded greedy
 choice.
+
+Depth 0 is a layer like the others: its one tag is ((), ()), whose sum at
+size p is the invariant t_p, so a generator list is a walk over layers.
 """
 
 from __future__ import annotations
@@ -65,16 +68,17 @@ def layer_tags(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     sort(Q'+k)) over the minors (R|C), each column keyed by the lex index of
     (R, C).  After all of them are inserted, the unit vectors (P|Q) that
     raise the rank, in lex (P, Q) order, are kept (see the module docstring
-    for why the choice holds at every such p).  Past depth n // 2 the
-    result is empty.
+    for why the choice holds at every such p).  Depth 0 has an empty
+    depth -1 family and keeps its one tag ((), ()), the invariant t_p.
+    Past depth n // 2 the result is empty.
     """
-    if not (1 <= i <= n):
-        raise ValueError(f"depth must lie in 1..{n}")
+    if not (0 <= i <= n):
+        raise ValueError(f"depth must lie in 0..{n}")
     subsets = list(itertools.combinations(range(1, n + 1), i))
     index = {s: k for k, s in enumerate(subsets)}
     width = len(subsets)
     basis = TriangularBasis(lambda col: col)
-    prefixes = list(itertools.combinations(range(1, n + 1), i - 1))
+    prefixes = list(itertools.combinations(range(1, n + 1), i - 1)) if i else []
     for P in prefixes:
         for Q in prefixes:
             vec = {}
@@ -105,13 +109,13 @@ def layer_basis(n: int, i: int, p: int) -> tuple[Polynomial, ...]:
     of the size-i ones (module docstring); this rests on
     dim V(i,p) = C(n,i)^2, which `family_rank` and the tests cross-check.
     These representatives generate the same ideal contribution as the
-    canonical layer, which is all the generator constructions need.  Out
-    of the nonzero range (i < 1 or i > min(p, n-p)) the layer is zero and
-    the result is empty.
+    canonical layer, which is all the generator constructions need.  At
+    depth 0 the one member is the invariant t_p.  Out of the nonzero range
+    (i < 0 or i > min(p, n-p)) the layer is zero and the result is empty.
     """
     if not (1 <= p <= n):
         raise ValueError(f"minor size must lie in 1..{n}")
-    if i < 1 or i > min(p, n - p):
+    if not (0 <= i <= min(p, n - p)):
         return ()
     kept = tuple(prefixed_minor_sum(n, P, Q, p) for P, Q in layer_tags(n, i))
     expected = layer_dimension(n, i)

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitideals import cli
 from orbitideals.cli import main, render_diagram
-from orbitideals.partitions import minimal_schedule, parse_partition, partitions_of
+from orbitideals.partitions import (
+    full_schedule,
+    minimal_schedule,
+    parse_partition,
+    partitions_of,
+    rank_variety_schedule,
+)
 from orbitideals.schur import layer_dimension
 
 
@@ -84,6 +90,11 @@ def test_malformed_partition_is_usage_error(capsys):
     code, _, err = run(capsys, "schedule", "--partition", "1,2,3")
     assert code == 2
     assert "error" in err
+    # a zero or negative exponent, or a non-digit part, is refused
+    for text in ("2^0,1", "2^-1,1", "3_0,1"):
+        code, out, err = run(capsys, "schedule", "--partition", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: "), text
 
 
 def test_rank_variety_schedule_flagged(capsys):
@@ -115,10 +126,16 @@ def test_schedule_descriptors_sweep(capsys):
                 assert report["rank_variety"] is rank_variety
                 assert ("note" in report) is rank_variety
                 lists = [report["minimal"]]
+                # layers(): the invariants as depth 0, then the minor spaces
+                invariants = [(0, p) for p in report["invariants"]]
+                layers = rank_variety_schedule(mu, ambient).layers()
+                assert list(layers) == invariants + [(d["i"], d["p"]) for d in report["minimal"]]
                 if rank_variety:
                     assert report["full"] is None
                 else:
                     lists.append(report["full"])
+                    layers = full_schedule(mu).layers()
+                    assert list(layers) == invariants + [(d["i"], d["p"]) for d in report["full"]]
                 for d in (d for descriptors in lists for d in descriptors):
                     assert d["degree"] == d["p"], (mu, ambient, d)
                     assert d["dimension"] == layer_dimension(ambient, d["i"]), (mu, ambient, d)
@@ -164,6 +181,16 @@ def test_generators_json_bytes(tmp_path, monkeypatch, capsys):
             report = json.loads(text)
             assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
             assert out == json.dumps({**report, "path": path}, indent=2, sort_keys=True) + "\n"
+
+
+def test_generators_unwritable_workdir(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(missing))
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "generators", "--partition", "2,1", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()
 
 
 def test_generators_refusal(capsys):

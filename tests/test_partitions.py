@@ -56,6 +56,15 @@ def test_parse_and_format():
         parse_partition("3,,1")
 
 
+@pytest.mark.parametrize(
+    "text", ["2^0,1", "2^-1,1", "2^+1", "3_0,1", "+3", "-3", "3.0", "\u00b3", "3^", "^2", "3^2^2", "2 ^2"]
+)
+def test_parse_rejects_all_but_digits_and_positive_exponents(text):
+    # int() alone would read 3_0 as 30 and +3 as 3, and 2^0 would drop a part
+    with pytest.raises(ValueError):
+        parse_partition(text)
+
+
 def test_conjugate_paper_values():
     assert parse_partition("3^2,2^2,1^5").conjugate().parts == (9, 4, 2)
     assert parse_partition("4,2^3,1^5").conjugate().parts == (9, 4, 1, 1)

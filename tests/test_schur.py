@@ -6,7 +6,7 @@ import pytest
 
 from orbitideals import minors
 from orbitideals.linalg import TriangularBasis
-from orbitideals.minors import family_rank, minor_sum_family
+from orbitideals.minors import family_rank, minor_sum_family, principal_minor_sum
 from orbitideals.polyring import term_key
 from orbitideals.schur import dimension_table, layer_basis, layer_dimension, layer_tags
 
@@ -52,7 +52,8 @@ def test_layer_basis_examples():
     # out of the nonzero range: empty
     assert layer_basis(4, 2, 3) == ()
     assert layer_basis(3, 2, 2) == ()
-    assert layer_basis(3, 0, 2) == ()
+    # depth 0 is the invariant
+    assert layer_basis(3, 0, 2) == (principal_minor_sum(3, 2),)
     with pytest.raises(ValueError):
         layer_basis(3, 1, 4)
 
@@ -70,13 +71,27 @@ def test_layer_basis_extends_previous_span():
         assert basis.rank == comb(n, min(i, p, n - p)) ** 2
 
 
+def test_layers_up_to_depth_i_are_a_basis_of_the_depth_i_span():
+    # membership --rel1 spans V(i,p) by the layers of depth 0..i at size p;
+    # the expanded greedy basis must add no rank on top of them
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            for i in range(0, n + 1):
+                span = [g for j in range(i + 1) for g in layer_basis(n, j, p)]
+                assert len(span) == comb(n, min(i, p, n - p)) ** 2, (n, i, p)
+                basis = TriangularBasis(lambda mon, n=n: term_key(n, mon))
+                assert all(basis.insert(g.terms) for g in span), (n, i, p)
+                assert not any(basis.insert(g.terms) for g in minors.minor_sum_basis(n, i, p)), (n, i, p)
+
+
 def two_family_layer(n, i, p):
     """The layer representatives as first selected: insert the whole
-    depth-(i-1) family, then keep the depth-i members that raise the rank."""
-    if i < 1 or i > min(p, n - p):
+    depth-(i-1) family (empty at depth 0), then keep the depth-i members
+    that raise the rank."""
+    if i < 0 or i > min(p, n - p):
         return ()
     basis = TriangularBasis(lambda mon: term_key(n, mon))
-    for _, poly in minor_sum_family(n, i - 1, p):
+    for _, poly in minor_sum_family(n, i - 1, p) if i else ():
         if not poly.is_zero():
             basis.insert(poly.terms)
     return tuple(
@@ -96,7 +111,7 @@ def test_layer_basis_matches_two_family_greedy():
 def test_layer_tags_count_is_the_layer_dimension():
     # the closed form at sizes far past the expanded cross-check (n <= 4)
     for n in range(1, 11 if LARGE else 10):
-        for i in range(1, n // 2 + 1):
+        for i in range(0, n // 2 + 1):
             assert len(layer_tags(n, i)) == layer_dimension(n, i), (n, i)
 
 
@@ -107,8 +122,10 @@ def test_layer_tags_examples():
     tags = layer_tags(3, 1)
     assert len(tags) == 8 and ((3,), (3,)) not in tags
     assert layer_tags(3, 2) == ()
+    # depth 0 is the invariant t_p, the sum of tag ((), ())
+    assert layer_tags(3, 0) == (((), ()),)
     with pytest.raises(ValueError):
-        layer_tags(3, 0)
+        layer_tags(3, -1)
     with pytest.raises(ValueError):
         layer_tags(3, 4)
 
