@@ -65,13 +65,15 @@ def mon_weight(n: int, mon: Mon) -> tuple[int, ...]:
     return tuple(w)
 
 
-def monomials_of_degree(n: int, d: int) -> list[Mon]:
-    """All degree-d monomials in the n*n variables, descending canonical order."""
+def monomials_of_degree(n: int, d: int, variables=None) -> list[Mon]:
+    """All degree-d monomials in the n*n variables, or in the given list of
+    (row, col) variables only, in descending canonical order."""
     if d < 0:
         return []
     if d == 0:
         return [()]
-    variables = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    if variables is None:
+        variables = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
     out = []
     for combo in itertools.combinations_with_replacement(variables, d):
         exps: dict[Var, int] = {}

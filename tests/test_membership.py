@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from orbitideals.membership import (
     verify_redundant,
 )
 from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
-from orbitideals.partitions import Partition, partitions_of
+from orbitideals.partitions import Partition, minimal_schedule, partitions_of
 from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, term_key
+
+LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
 
 def test_member_by_construction():
@@ -225,16 +228,20 @@ def test_verify_minimal_curated_larger_partitions():
     for mu in curated:
         report = verify_minimal(mu)
         assert report.ok, (mu, [c.as_dict() for c in report.checks if not c.ok])
-    # the last report is that of (5,): its t_5 verdict has an exact certificate
+    # the last report is that of (5,): its t_5 verdict is certified on the
+    # diagonal slice, and the full piece accepts the same functional
     t5_check = next(c for c in report.checks if c.kind == "invariant" and c.p == 5)
     assert t5_check.status == NON_MEMBER
     labels, gens = scheduled_generators(Partition((5,)))
     others = [g for lbl, g in zip(labels, gens) if lbl != "t_5"]
     t5 = principal_minor_sum(5, 5)
-    piece = GradedPiece(5, others, 5)
+    piece = GradedPiece(5, others, 5, diagonal=True)
     verdict = piece.contains(t5)
+    assert verdict.slice == "diagonal"
+    # rho(t_q) * m for the diagonal m of degree 5 - q: 70 + 35 + 15 + 5 rows
+    assert len(piece.rows) == 125
     assert verdict.as_dict() == t5_check.detail
-    assert piece.verify(t5, verdict)
+    assert GradedPiece(5, others, 5).verify(t5, verdict)
 
 
 def test_verify_minimal_regular_orbit_n6():
@@ -243,6 +250,96 @@ def test_verify_minimal_regular_orbit_n6():
     assert [(c.kind, c.p, c.status) for c in report.checks] == [
         ("invariant", p, NON_MEMBER) for p in range(1, 7)
     ]
+
+
+def verdict_from_dict(d: dict) -> MembershipVerdict:
+    """The verdict a report's `as_dict` was made from (functional only)."""
+    functional = tuple(
+        (tuple(((r, c), e) for r, c, e in t["monomial"]), Fraction(t["coeff"])) for t in d["functional"]
+    )
+    return MembershipVerdict(d["status"], functional=functional, slice=d.get("slice"))
+
+
+def test_invariant_functionals_hold_on_full_pieces():
+    """Every invariant check is certified on the diagonal slice, and the
+    functional it prints also vanishes on the full weight-0 block: the
+    restriction argument, checked by brute force."""
+    for n in range(1, 7 if LARGE else 6):
+        for mu in partitions_of(n):
+            report = verify_minimal(mu)
+            labels, gens = scheduled_generators(mu)
+            for c in report.checks:
+                if c.kind != "invariant":
+                    continue
+                assert c.status == NON_MEMBER and c.detail["slice"] == "diagonal", (mu, c.p)
+                k = labels.index(f"t_{c.p}")
+                piece = GradedPiece(n, gens[:k] + gens[k + 1 :], c.p)
+                assert piece.verify(gens[k], verdict_from_dict(c.detail)), (mu, c.p)
+
+
+def test_invariants_at_n7_are_certified_on_the_slice():
+    """The frontier: every invariant check of every mu of 7 (n = 6 without
+    ORBIT_IDEALS_LARGE), the loop of `verify_minimal` without its
+    redundancy checks."""
+    n = 7 if LARGE else 6
+    checks = 0
+    for mu in partitions_of(n):
+        _, gens = scheduled_generators(mu)
+        for k, p in enumerate(minimal_schedule(mu).invariant_degrees):
+            verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
+            assert verdict.status == NON_MEMBER and verdict.slice == "diagonal", (mu, p)
+            checks += 1
+    assert checks == (54 if LARGE else 35)
+
+
+def test_slice_member_falls_back_to_the_weight_blocks():
+    t1 = principal_minor_sum(3, 1)
+    f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
+    # rho(f) = 0, so the slice proves nothing
+    assert GradedPiece(3, [t1], 2, diagonal=True).contains(f) is None
+    verdict = ideal_contains(f, [t1])
+    assert verdict.status == NON_MEMBER and verdict.slice is None
+    assert "slice" not in verdict.as_dict()
+    assert any(r != c for mon, _ in verdict.functional for (r, c), _ in mon)
+    assert GradedPiece(3, [t1], 2).verify(f, verdict)
+
+
+def test_member_through_ideal_contains_keeps_its_combination():
+    g = principal_minor_sum(3, 2)
+    x11 = (((1, 1), 1),)
+    f = g.times_monomial(x11)  # rho(f) = e_2 * x11 is a slice member
+    assert GradedPiece(3, [g], 3, diagonal=True).contains(f) is None
+    verdict = ideal_contains(f, [g])
+    assert verdict == GradedPiece(3, [g], 3).contains(f)
+    assert verdict.combination == ((0, x11, 1),)
+    assert "slice" not in verdict.as_dict()
+    assert GradedPiece(3, [g], 3).verify(f, verdict)
+
+
+def test_slice_functional_is_checked_on_the_slice_rows():
+    _, gens = scheduled_generators(Partition((3,)))
+    t3, others = gens[2], gens[:2]
+    piece = GradedPiece(3, others, 3, diagonal=True)
+    verdict = piece.contains(t3)
+    assert verdict.status == NON_MEMBER and verdict.slice == "diagonal"
+    assert all(r == c for mon, _ in verdict.functional for (r, c), _ in mon)
+    assert piece.verify(t3, verdict)
+    full = GradedPiece(3, others, 3)
+    assert full.verify(t3, verdict)
+    # nonzero on the slice row rho(t_1) * x11^2 = x11^3 + x11^2 x22 + x11^2 x33
+    lam = dict(verdict.functional)
+    x11_3 = (((1, 1), 3),)
+    lam[x11_3] = lam.get(x11_3, 0) + 1
+    tampered = MembershipVerdict(NON_MEMBER, functional=tuple(lam.items()), slice="diagonal")
+    assert apply_functional(lam, t3.terms) != 0
+    assert not piece.verify(t3, tampered)
+    assert not full.verify(t3, tampered)
+    # the slice rows say nothing off the diagonal, so such support is refused
+    off = (((1, 1), 1), ((1, 2), 1), ((2, 1), 1))  # not a term of t_3
+    widened = MembershipVerdict(NON_MEMBER, functional=verdict.functional + ((off, 1),), slice="diagonal")
+    assert apply_functional(dict(widened.functional), t3.terms) != 0
+    assert not piece.verify(t3, widened)
+    assert not full.verify(t3, widened)  # nonzero on t_1 * x12 x21
 
 
 def test_depth_one_uses_longer_block_witness():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,15 @@ def test_monomials_of_degree_counts():
     assert len(monomials_of_degree(3, 1)) == 9
     assert monomials_of_degree(2, 0) == [()]
     assert mon_mul((), (((1, 1), 1),)) == (((1, 1), 1),)
+
+
+def test_monomials_of_degree_in_given_variables():
+    diagonal = [(r, r) for r in range(1, 5)]
+    for d in range(4):
+        mons = monomials_of_degree(4, d, diagonal)
+        assert len(mons) == comb(4 + d - 1, d)
+        # the same monomials, in the same order, as filtering the full list
+        assert mons == [m for m in monomials_of_degree(4, d) if all(r == c for (r, c), _ in m)]
 
 
 def tuple_term_key(n, mon):
