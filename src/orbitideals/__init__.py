@@ -5,8 +5,6 @@ from .membership import (
     NON_MEMBER,
     GradedPiece,
     MembershipVerdict,
-    MinimalityReport,
-    RedundancyReport,
     ideal_contains,
     scheduled_generators,
     verify_minimal,
@@ -22,7 +20,6 @@ from .minors import (
 )
 from .orbit import (
     OrbitSample,
-    VanishingReport,
     check_vanishing,
     jordan_matrix,
     kernel_dimensions,
@@ -53,8 +50,6 @@ __all__ = [
     "NON_MEMBER",
     "GradedPiece",
     "MembershipVerdict",
-    "MinimalityReport",
-    "RedundancyReport",
     "ideal_contains",
     "scheduled_generators",
     "verify_minimal",
@@ -66,7 +61,6 @@ __all__ = [
     "prefixed_minor_sum",
     "principal_minor_sum",
     "OrbitSample",
-    "VanishingReport",
     "check_vanishing",
     "jordan_matrix",
     "kernel_dimensions",

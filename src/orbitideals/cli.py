@@ -406,15 +406,18 @@ def cmd_membership(args) -> int:
             "report": "membership",
             "config": _config(args),
             "kind": "redundancy",
-            **rep.as_dict(),
+            **rep,
         }
         lines = [
-            f"excluded depth {i} of {mu} (size {rep.p}):",
-            f"  zero space: {rep.zero_space}",
-            f"  candidates: {len(rep.verdicts)}, all member: {rep.all_member}",
+            f"excluded depth {i} of {mu} (size {rep['p']}):",
+            f"  zero space: {rep['zero_space']}",
+            f"  candidates: {rep['candidates']}, all member: {rep['all_member']}",
         ]
         _emit(report, lines, args.json)
-        return 0 if rep.all_member else 1
+        return 0 if rep["all_member"] else 1
+    p = mu.critical_size(i)
+    if minor_space_vanishes(mu.n, i, p):
+        return _usage_error(f"depth {i} of {mu} has a zero space at size {p}; there is nothing to certify")
     return _usage_error(f"depth {i} is scheduled for {mu}; use `verify` for minimality certificates")
 
 
@@ -426,27 +429,23 @@ def cmd_verify(args) -> int:
     suite = args.suite
     run_vanishing = suite in ("all", "vanishing")
     run_minimal = suite in ("all", "minimal")
-    ok = True
     vanishing = []
     sharpness = []
     if run_vanishing:
         for i, p in full_schedule(mu).layers():
-            r = check_vanishing(mu, i, p)
-            vanishing.append({"i": i, "p": p, "all_zero": r.all_zero, "expected": True})
-            ok = ok and r.all_zero
+            all_zero = check_vanishing(mu, i, p) is None
+            vanishing.append({"i": i, "p": p, "all_zero": all_zero, "expected": True})
         for i in range(1, len(mu) + 1):
             ci = mu.critical_size(i)
             if ci > i:
-                r = check_vanishing(mu, i, ci - 1)
-                entry = {"i": i, "p": ci - 1, "all_zero": r.all_zero, "expected": False}
-                if r.witness is not None:
-                    entry["witness"] = {"rows": r.witness[0], "cols": r.witness[1]}
+                witness = check_vanishing(mu, i, ci - 1)
+                entry = {"i": i, "p": ci - 1, "all_zero": witness is None, "expected": False}
+                if witness is not None:
+                    entry["witness"] = {"rows": witness[0], "cols": witness[1]}
                 sharpness.append(entry)
-                ok = ok and not r.all_zero
-    minimality = None
-    if run_minimal:
-        minimality = verify_minimal(mu)
-        ok = ok and minimality.ok
+    minimality = verify_minimal(mu) if run_minimal else None
+    ok = all(e["all_zero"] == e["expected"] for e in vanishing + sharpness)
+    ok = ok and (minimality is None or minimality["ok"])
     report = {
         "report": "verify",
         "config": _config(args),
@@ -455,20 +454,18 @@ def cmd_verify(args) -> int:
         "n": n,
         "vanishing": vanishing,
         "sharpness": sharpness,
-        "minimality": None if minimality is None else minimality.as_dict(),
+        "minimality": minimality,
         "ok": ok,
     }
     lines = [f"verification for {mu} (n = {n}):"]
-    for v in vanishing:
-        status = "PASS" if v["all_zero"] else "FAIL"
-        lines.append(f"  vanishing  (i={v['i']}, p={v['p']}): {status}")
-    for s in sharpness:
-        status = "PASS" if not s["all_zero"] else "FAIL"
-        lines.append(f"  sharpness  (i={s['i']}, p={s['p']}): {status}")
+    for name, entries in (("vanishing", vanishing), ("sharpness", sharpness)):
+        for e in entries:
+            status = "PASS" if e["all_zero"] == e["expected"] else "FAIL"
+            lines.append(f"  {name}  (i={e['i']}, p={e['p']}): {status}")
     if minimality is not None:
-        for c in minimality.checks:
-            status = "PASS" if c.ok else f"FAIL ({c.status})"
-            lines.append(f"  minimality {c.kind} (i={c.i}, p={c.p}): {status}")
+        for c in minimality["checks"]:
+            status = "PASS" if c["ok"] else f"FAIL ({c['status']})"
+            lines.append(f"  minimality {c['kind']} (i={c['i']}, p={c['p']}): {status}")
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     _emit(report, lines, args.json)
     return 0 if ok else 1

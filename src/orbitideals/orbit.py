@@ -151,24 +151,14 @@ def prefixed_sum_at_jordan(mu: Partition, row_prefix, col_prefix, size: int) -> 
     return total
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    """Outcome of evaluating one generator space at the Jordan matrix."""
-
-    partition: Partition
-    i: int
-    p: int
-    all_zero: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None  # (P, Q) nonzero at J_mu
-
-
-def check_vanishing(mu: Partition, i: int, p: int) -> VanishingReport:
+def check_vanishing(mu: Partition, i: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Decide whether the depth-i size-p space vanishes on the orbit closure
     of mu by evaluating its sorted spanning pairs (P, Q) at J_mu.
 
-    For depths in the nonzero range the space vanishes iff
-    p >= mu.critical_size(i); otherwise the first (P, Q), in P-major
-    lexicographic order, whose sum is nonzero at J_mu is the witness.
+    Returns None when the space vanishes, and otherwise the witness: the
+    first pair (P, Q), in P-major lexicographic order, whose sum is nonzero
+    at J_mu.  For depths in the nonzero range the space vanishes iff
+    p >= mu.critical_size(i).
     """
     n = mu.n
     if not (0 <= i <= min(p, n - p)):
@@ -177,5 +167,5 @@ def check_vanishing(mu: Partition, i: int, p: int) -> VanishingReport:
     for P in subsets:
         for Q in subsets:
             if prefixed_sum_at_jordan(mu, P, Q, p):
-                return VanishingReport(mu, i, p, False, (P, Q))
-    return VanishingReport(mu, i, p, True, None)
+                return P, Q
+    return None

@@ -7,11 +7,14 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitideals import cli
+from orbitideals import cli, membership
 from orbitideals.cli import main, render_diagram
+from orbitideals.membership import MembershipVerdict
 from orbitideals.partitions import (
+    admits_minor_space,
     full_schedule,
     minimal_schedule,
+    minor_space_vanishes,
     parse_partition,
     partitions_of,
     rank_variety_schedule,
@@ -268,6 +271,25 @@ def test_membership_scheduled_depth_is_usage_error(capsys):
     assert "is scheduled" in err
 
 
+def test_membership_zero_space_is_usage_error(capsys):
+    # depths the rule admits whose space is zero: not scheduled, and
+    # nothing to certify
+    zero = [
+        (mu, i)
+        for n in range(1, 7)
+        for mu in partitions_of(n)
+        for i in range(1, len(mu) + 1)
+        if admits_minor_space(mu, i) and minor_space_vanishes(n, i, mu.critical_size(i))
+    ]
+    assert len(zero) == 16
+    assert {(str(mu), i) for mu, i in zero} >= {("3,1", 2), ("4", 1), ("2,1", 2), ("3,1,1", 3)}
+    for mu, i in zero:
+        code, out, err = run(capsys, "membership", "--partition", str(mu), "--i", str(i), "--max-n", "6")
+        assert (code, out) == (2, ""), (mu, i)
+        assert f"depth {i} of {mu} has a zero space at size {mu.critical_size(i)}" in err
+        assert "scheduled" not in err
+
+
 def test_membership_depth_out_of_range(capsys):
     for depth in ("5", "3", "0", "-1"):
         code, out, err = run(capsys, "membership", "--partition", "2,1", "--i", depth)
@@ -302,6 +324,21 @@ def test_verify_single_suites(capsys):
     report = validate_report(out)
     assert report["suite"] == "minimal"
     assert report["vanishing"] == [] and report["minimality"]["ok"] is True
+
+
+def test_verify_failing_check_exits_one(monkeypatch, capsys):
+    # a verdict without a certificate fails the invariant checks
+    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: MembershipVerdict("consistent_non_member"))
+    code, out, _ = run(capsys, "verify", "minimal", "--partition", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert "  minimality invariant (i=0, p=1): FAIL (consistent_non_member)" in lines
+    assert lines[-1] == "result: FAIL"
+    code, out, _ = run(capsys, "verify", "minimal", "--partition", "3", "--json")
+    assert code == 1
+    report = validate_report(out)
+    assert report["ok"] is False and report["minimality"]["ok"] is False
+    assert [c["ok"] for c in report["minimality"]["checks"]] == [False, False, False]
 
 
 def test_verify_refusal(capsys):
@@ -407,6 +444,7 @@ SUBCOMMANDS = [
     ("witness", "--partition", "4,2^3,1^5"),
     ("membership", "--rel1", "--n", "3"),
     ("membership", "--partition", "2,2", "--i", "2"),
+    ("verify", "--partition", "2,2,1"),  # an excluded depth with 75 candidates
     ("membership", "--partition", "2,2,1", "--i", "2"),  # member verdicts with combinations
     ("verify", "--partition", "2,1,1"),  # minimality checks with a Jordan point
 ]

@@ -20,6 +20,7 @@ from orbitideals.membership import (
 from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
 from orbitideals.partitions import Partition, minimal_schedule, partitions_of
 from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, term_key
+from orbitideals.schur import layer_basis
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
@@ -107,8 +108,8 @@ def test_verdict_without_certificate_is_rejected(monkeypatch):
     # verify_minimal accepts an invariant only with a functional certificate
     monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: uncertified)
     report = verify_minimal(Partition((3,)))
-    assert [c.ok for c in report.checks] == [False, False, False]
-    assert not report.ok
+    assert [c["ok"] for c in report["checks"]] == [False, False, False]
+    assert not report["ok"]
 
 
 def test_rel1_members_and_t1_non_member_reverify():
@@ -137,8 +138,8 @@ def test_depth_two_member_certificate_reverifies():
 
 def test_verify_redundant_zero_space():
     report = verify_redundant(Partition((2, 2)), 2)
-    assert report.zero_space and report.all_member
-    assert report.verdicts == ()
+    assert report["zero_space"] and report["all_member"]
+    assert report["verdicts"] == [] and report["candidates"] == 0
 
 
 def test_verify_redundant_rejects_scheduled_depth():
@@ -149,19 +150,21 @@ def test_verify_redundant_rejects_scheduled_depth():
 def test_verify_redundant_nonzero_case():
     # depth 2 of (2,2,1) is excluded with a nonzero space: a genuine oracle run
     report = verify_redundant(Partition((2, 2, 1)), 2)
-    assert not report.zero_space
-    assert len(report.verdicts) == 75
-    assert report.all_member
+    assert not report["zero_space"]
+    assert len(report["verdicts"]) == report["candidates"] == 75
+    assert report["all_member"]
+    assert_printed_members_reverify(Partition((2, 2, 1)), 2, report)
 
 
 def test_verify_redundant_rectangle():
     # rectangles exclude every depth >= 2; the smallest nonzero case is n=6
     report = verify_redundant(Partition((2, 2, 2)), 2)
-    assert not report.zero_space
-    assert len(report.verdicts) == 189
-    assert report.all_member
+    assert not report["zero_space"]
+    assert len(report["verdicts"]) == report["candidates"] == 189
+    assert report["all_member"]
+    assert_printed_members_reverify(Partition((2, 2, 2)), 2, report)
     report3 = verify_redundant(Partition((2, 2, 2)), 3)
-    assert report3.zero_space and report3.all_member
+    assert report3["zero_space"] and report3["all_member"]
     labels, gens = scheduled_generators(Partition((2, 2, 1)), before_depth=2)
     assert labels[:2] == ["t_1", "t_2"]
     # invariants plus the depth-1 layer (the 25-dim family minus the t_2 line)
@@ -178,39 +181,39 @@ def test_scheduled_generators_labels():
 
 def test_verify_minimal_kostant_case():
     report = verify_minimal(Partition((4,)))
-    assert report.ok
-    kinds = {c.kind for c in report.checks}
+    assert report["ok"]
+    kinds = {c["kind"] for c in report["checks"]}
     assert kinds == {"invariant"}
-    assert all(c.status == NON_MEMBER for c in report.checks)
+    assert all(c["status"] == NON_MEMBER for c in report["checks"])
 
 
 def test_verify_minimal_two_two():
     report = verify_minimal(Partition((2, 2)))
-    assert report.ok
+    assert report["ok"]
     by_kind = {}
-    for c in report.checks:
-        by_kind.setdefault(c.kind, []).append(c)
-    assert [(c.i, c.p) for c in by_kind["minor_space"]] == [(1, 2)]
-    assert [(c.i, c.p) for c in by_kind["excluded"]] == [(2, 3)]
-    assert by_kind["excluded"][0].detail["zero_space"] is True
+    for c in report["checks"]:
+        by_kind.setdefault(c["kind"], []).append(c)
+    assert [(c["i"], c["p"]) for c in by_kind["minor_space"]] == [(1, 2)]
+    assert [(c["i"], c["p"]) for c in by_kind["excluded"]] == [(2, 3)]
+    assert by_kind["excluded"][0]["detail"]["zero_space"] is True
 
 
 def test_verify_minimal_point_certificates_reverify():
     mu = Partition((2, 1, 1))
     report = verify_minimal(mu)
-    assert report.ok
-    minor_checks = [c for c in report.checks if c.kind == "minor_space"]
-    assert [(c.i, c.p) for c in minor_checks] == [(1, 2), (2, 2)]
+    assert report["ok"]
+    minor_checks = [c for c in report["checks"] if c["kind"] == "minor_space"]
+    assert [(c["i"], c["p"]) for c in minor_checks] == [(1, 2), (2, 2)]
     for c in minor_checks:
-        assert c.status == NON_MEMBER
-        assert verify_minor_space_certificate(mu, c.i, c.detail)
+        assert c["status"] == NON_MEMBER
+        assert verify_minor_space_certificate(mu, c["i"], c["detail"])
 
 
 def test_verify_minimal_all_small_partitions():
     for n in range(1, 5):
         for mu in partitions_of(n):
             report = verify_minimal(mu)
-            assert report.ok, (mu, [c.as_dict() for c in report.checks if not c.ok])
+            assert report["ok"], (mu, [c for c in report["checks"] if not c["ok"]])
 
 
 def test_verify_minimal_curated_larger_partitions():
@@ -227,11 +230,11 @@ def test_verify_minimal_curated_larger_partitions():
     ]
     for mu in curated:
         report = verify_minimal(mu)
-        assert report.ok, (mu, [c.as_dict() for c in report.checks if not c.ok])
+        assert report["ok"], (mu, [c for c in report["checks"] if not c["ok"]])
     # the last report is that of (5,): its t_5 verdict is certified on the
     # diagonal slice, and the full piece accepts the same functional
-    t5_check = next(c for c in report.checks if c.kind == "invariant" and c.p == 5)
-    assert t5_check.status == NON_MEMBER
+    t5_check = next(c for c in report["checks"] if c["kind"] == "invariant" and c["p"] == 5)
+    assert t5_check["status"] == NON_MEMBER
     labels, gens = scheduled_generators(Partition((5,)))
     others = [g for lbl, g in zip(labels, gens) if lbl != "t_5"]
     t5 = principal_minor_sum(5, 5)
@@ -240,24 +243,43 @@ def test_verify_minimal_curated_larger_partitions():
     assert verdict.slice == "diagonal"
     # rho(t_q) * m for the diagonal m of degree 5 - q: 70 + 35 + 15 + 5 rows
     assert len(piece.rows) == 125
-    assert verdict.as_dict() == t5_check.detail
+    assert verdict.as_dict() == t5_check["detail"]
     assert GradedPiece(5, others, 5).verify(t5, verdict)
 
 
 def test_verify_minimal_regular_orbit_n6():
     report = verify_minimal(Partition((6,)))
-    assert report.ok
-    assert [(c.kind, c.p, c.status) for c in report.checks] == [
+    assert report["ok"]
+    assert [(c["kind"], c["p"], c["status"]) for c in report["checks"]] == [
         ("invariant", p, NON_MEMBER) for p in range(1, 7)
     ]
 
 
 def verdict_from_dict(d: dict) -> MembershipVerdict:
-    """The verdict a report's `as_dict` was made from (functional only)."""
-    functional = tuple(
-        (tuple(((r, c), e) for r, c, e in t["monomial"]), Fraction(t["coeff"])) for t in d["functional"]
-    )
-    return MembershipVerdict(d["status"], functional=functional, slice=d.get("slice"))
+    """The verdict a report's `as_dict` was made from: its member
+    combination or its functional, read back exactly."""
+
+    def mon(records):
+        return tuple(((r, c), e) for r, c, e in records)
+
+    combination = functional = None
+    if "combination" in d:
+        combination = tuple((t["gen"], mon(t["monomial"]), Fraction(t["coeff"])) for t in d["combination"])
+    if "functional" in d:
+        functional = tuple((mon(t["monomial"]), Fraction(t["coeff"])) for t in d["functional"])
+    return MembershipVerdict(d["status"], combination=combination, functional=functional, slice=d.get("slice"))
+
+
+def assert_printed_members_reverify(mu: Partition, i: int, report: dict):
+    """Each member combination a redundancy report prints recombines its
+    candidate exactly in a fresh piece."""
+    candidates = layer_basis(mu.n, i, report["p"])
+    assert len(candidates) == len(report["verdicts"]) == report["candidates"], (mu, i)
+    _, gens = scheduled_generators(mu, before_depth=i)
+    piece = GradedPiece(mu.n, gens, report["p"])
+    for cand, v in zip(candidates, report["verdicts"]):
+        assert v["status"] == MEMBER, (mu, i)
+        assert piece.verify(cand, verdict_from_dict(v)), (mu, i)
 
 
 def test_invariant_functionals_hold_on_full_pieces():
@@ -268,13 +290,13 @@ def test_invariant_functionals_hold_on_full_pieces():
         for mu in partitions_of(n):
             report = verify_minimal(mu)
             labels, gens = scheduled_generators(mu)
-            for c in report.checks:
-                if c.kind != "invariant":
+            for c in report["checks"]:
+                if c["kind"] != "invariant":
                     continue
-                assert c.status == NON_MEMBER and c.detail["slice"] == "diagonal", (mu, c.p)
-                k = labels.index(f"t_{c.p}")
-                piece = GradedPiece(n, gens[:k] + gens[k + 1 :], c.p)
-                assert piece.verify(gens[k], verdict_from_dict(c.detail)), (mu, c.p)
+                assert c["status"] == NON_MEMBER and c["detail"]["slice"] == "diagonal", (mu, c["p"])
+                k = labels.index(f"t_{c['p']}")
+                piece = GradedPiece(n, gens[:k] + gens[k + 1 :], c["p"])
+                assert piece.verify(gens[k], verdict_from_dict(c["detail"])), (mu, c["p"])
 
 
 def test_invariants_at_n7_are_certified_on_the_slice():
@@ -344,8 +366,8 @@ def test_slice_functional_is_checked_on_the_slice_rows():
 
 def test_depth_one_uses_longer_block_witness():
     report = verify_minimal(Partition((2, 2)))
-    c = next(ch for ch in report.checks if ch.kind == "minor_space")
-    assert c.detail["witness"] == "3,1"
+    c = next(ch for ch in report["checks"] if ch["kind"] == "minor_space")
+    assert c["detail"]["witness"] == "3,1"
 
 
 @settings(max_examples=25, deadline=None)
