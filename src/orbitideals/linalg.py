@@ -1,10 +1,10 @@
 """Incremental sparse Gaussian elimination over Q.
 
-Vectors are dicts mapping column keys to coefficients.  Column keys can be
-anything hashable; a `sort_key` callable maps each to a number giving the
-total order used for pivot selection (largest key is the pivot).  Basis
-rows are kept monic with the pivot as their largest column, so reduction
-strictly decreases the leading key and terminates.
+Vectors are dicts from int columns to coefficients.  Columns are ordered
+by value, with no sort key: a row's largest column is its pivot, so a
+caller picks ints in its pivot order (graded pieces use `term_key`).
+Basis rows are kept monic at the pivot, so reduction strictly decreases
+the leading column and terminates.
 
 Coefficients are exact rationals held as Python ints wherever their value is
 integral and as Fractions only otherwise; mixed int/Fraction arithmetic is
@@ -30,30 +30,14 @@ class TriangularBasis:
     """Row-reduced spanning set supporting rank queries, membership
     reduction and provenance tracking for exact certificates."""
 
-    def __init__(self, sort_key, track=False):
-        self.sort_key = sort_key
+    def __init__(self, track=False):
         self.track = track
         self.rows: dict = {}  # pivot column -> {column: coeff}, monic at pivot
         self.prov: dict = {}  # pivot column -> {tag: coeff over original inserts}
-        self._keys: dict = {}  # memoized sort keys
-
-    # -- ordering helpers ----------------------------------------------------
-
-    def _key(self, col):
-        k = self._keys.get(col)
-        if k is None:
-            k = self._keys[col] = self.sort_key(col)
-        return k
-
-    def _negkey(self, col):
-        return -self._key(col)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def pivots(self):
-        return self.rows.keys()
 
     # -- core reduction --------------------------------------------------------
 
@@ -64,7 +48,9 @@ class TriangularBasis:
         combo maps pivot -> coefficient with vec = residual + sum(combo * row).
         """
         work = {col: v for col, v in vec.items() if v}
-        heap = [(self._negkey(col), col) for col in work]
+        # a min-heap of -col pops the largest column; the pair keeps the
+        # column's own int, so a new row shares it with the rows it came from
+        heap = [(-col, col) for col in work]
         heapq.heapify(heap)
         residual: dict = {}
         combo: dict = {}
@@ -85,7 +71,7 @@ class TriangularBasis:
                 nv = work.get(col2, 0) - c * v
                 if nv:
                     if col2 not in work:
-                        heapq.heappush(heap, (self._negkey(col2), col2))
+                        heapq.heappush(heap, (-col2, col2))
                     work[col2] = nv
                 else:
                     work.pop(col2, None)
@@ -100,7 +86,7 @@ class TriangularBasis:
         residual, combo = self.reduce(vec)
         if not residual:
             return False
-        pivot = max(residual, key=self._key)
+        pivot = max(residual)
         lead = residual[pivot]
         self.rows[pivot] = {col: _div(v, lead) for col, v in residual.items()}
         if self.track:
@@ -132,12 +118,8 @@ class TriangularBasis:
         if free_column in self.rows:
             raise ValueError("column lies under a pivot")
         lam: dict = {free_column: 1}
-        for piv in sorted(self.rows, key=self._key):
-            row = self.rows[piv]
-            s = 0
-            for col, v in row.items():
-                if col != piv and col in lam:
-                    s += v * lam[col]
+        for piv in sorted(self.rows):
+            s = sum(v * lam[col] for col, v in self.rows[piv].items() if col != piv and col in lam)
             if s:
                 lam[piv] = -s
         return lam

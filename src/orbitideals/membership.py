@@ -47,11 +47,13 @@ from .partitions import (
 )
 from .polyring import (
     Polynomial,
-    mon_mul,
+    key_header,
     mon_weight,
     monomials_of_degree,
     monomials_of_weight,
+    pack,
     term_key,
+    unpack,
 )
 from .schur import layer_basis, layer_tags
 
@@ -121,6 +123,14 @@ class GradedPiece:
     candidate is replaced by rho(f).  The slice proves non-membership only
     (see the module docstring), so it tracks no provenance and `contains`
     gives None where the full piece might say `member`.
+
+    Rows are eliminated on int columns, the term keys of their monomials
+    (`polyring.term_key`).  In degree d the key of t * m is the key of t at
+    the digit width of d plus `pack(n, m, d)`, with no carry, so each
+    generator is packed once per piece and a row is built by int addition.
+    The slice negates every column: the pivot is the largest column, and
+    the reversed canonical order cuts the time of t_7 at n = 7 by more than
+    half.  Only the columns of a non-member functional are decoded.
     """
 
     path = "exact"  # read by perfbench/layers.py until ROADMAP item 6 lands
@@ -136,8 +146,11 @@ class GradedPiece:
         kept = [(gi, g) for gi, g in enumerate(self.gens) if not g.is_zero() and g.degree <= degree]
         if diagonal:
             kept = [(gi, r) for gi, g in kept if not (r := _restrict(g)).is_zero()]
-        self._row_gens = [(gi, g, _torus_weight(g)) for gi, g in kept]
-        self._graded = all(w is not None for _, _, w in self._row_gens)
+        self._sign = sign = -1 if diagonal else 1
+        head = key_header(n, degree)
+        packed = lambda g: {sign * (head + pack(n, t, degree)): c for t, c in g.terms.items()}
+        self._row_gens = [(gi, g, _torus_weight(g), packed(g)) for gi, g in kept]
+        self._graded = all(w is not None for _, _, w, _ in self._row_gens)
         # multipliers are drawn from these variables (None: all of them)
         self._variables = [(r, r) for r in range(1, n + 1)] if diagonal else None
         # weight -> exact row-reduced basis of its rows, with provenance
@@ -146,21 +159,17 @@ class GradedPiece:
         # totals over the blocks built so far; a fresh piece has built none
         self.rows: list[tuple] = []  # (gen index, multiplier) of every row
         self.nonzeros = 0
-        self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> monomials
-        # pivot order of the elimination; the slice reverses the canonical
-        # order, which cuts the time of t_7 at n = 7 by more than half
-        sign = -1 if diagonal else 1
-        self._key = lambda mon: sign * term_key(n, mon)
+        self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> [(monomial, offset)]
 
     def _weight(self, mon) -> tuple:
         """The block a monomial belongs to."""
         return mon_weight(self.n, mon) if self._graded else ()
 
-    def _block_rows(self, w: tuple) -> list[tuple[tuple, dict]]:
-        """The rows ((gen index, monomial), terms) of weight w, in the order
-        of the whole piece: by generator, then descending multiplier."""
-        rows = []
-        for gi, g, gw in self._row_gens:
+    def _block_multipliers(self, w: tuple):
+        """(gen index, row generator, its columns, [(multiplier, column
+        offset)]) of the rows of weight w, in the order of the whole piece:
+        by generator, then descending multiplier."""
+        for gi, g, gw, packed in self._row_gens:
             k = self.degree - g.degree
             mw = tuple(a - b for a, b in zip(w, gw)) if self._graded else ()
             mons = self._multipliers.get((k, mw))
@@ -169,19 +178,19 @@ class GradedPiece:
                     mons = monomials_of_weight(self.n, k, mw)
                 else:
                     mons = monomials_of_degree(self.n, k, self._variables)
-                self._multipliers[(k, mw)] = mons
-            for m in mons:
-                rows.append(((gi, m), {mon_mul(t, m): c for t, c in g.terms.items()}))
-        return rows
+                mons = self._multipliers[(k, mw)] = [(m, self._sign * pack(self.n, m, self.degree)) for m in mons]
+            yield gi, g, packed, mons
 
     def _block(self, w: tuple) -> TriangularBasis:
         basis = self._blocks.get(w)
         if basis is None:
-            basis = self._blocks[w] = TriangularBasis(self._key, track=not self.diagonal)
-            for tag, terms in self._block_rows(w):
-                basis.insert(terms, tag)
-                self.rows.append(tag)
-                self.nonzeros += len(terms)
+            basis = self._blocks[w] = TriangularBasis(track=not self.diagonal)
+            for gi, _, packed, mons in self._block_multipliers(w):
+                for m, off in mons:
+                    tag = (gi, m)
+                    basis.insert({k + off: c for k, c in packed.items()}, tag)
+                    self.rows.append(tag)
+                self.nonzeros += len(packed) * len(mons)
         return basis
 
     def contains(self, f: Polynomial) -> MembershipVerdict | None:
@@ -196,7 +205,7 @@ class GradedPiece:
             return None if self.diagonal else MembershipVerdict(MEMBER, combination=())
         components: dict[tuple, dict] = {}
         for mon, c in f.terms.items():
-            components.setdefault(self._weight(mon), {})[mon] = c
+            components.setdefault(self._weight(mon), {})[self._sign * term_key(self.n, mon)] = c
         combination = []
         free: dict = {}  # residual column -> the basis of its block
         for w, terms in components.items():
@@ -205,13 +214,12 @@ class GradedPiece:
             if residual:
                 free.update(dict.fromkeys(residual, basis))
             elif basis.track:
-                for (gi, mon), c in basis.provenance_of(combo).items():
-                    if c:
-                        combination.append((gi, mon, c))
+                combination.extend((gi, mon, c) for (gi, mon), c in basis.provenance_of(combo).items())
         if free:
-            lead = max(free, key=self._key)
+            lead = max(free)
             lam = free[lead].annihilator(lead)
-            functional = tuple(sorted(lam.items(), key=lambda t: term_key(self.n, t[0]), reverse=True))
+            keys = sorted(((self._sign * col, c) for col, c in lam.items()), reverse=True)
+            functional = tuple((unpack(self.n, k, self.degree), c) for k, c in keys)
             where = "diagonal" if self.diagonal else None
             return MembershipVerdict(NON_MEMBER, functional=functional, slice=where)
         if self.diagonal:
@@ -225,20 +233,18 @@ class GradedPiece:
         other status fails.
 
         A functional is checked against every row of each block its support
-        meets, rebuilt from the generators; rows of other blocks share no
-        monomial with it.  On the slice, the functional must be supported on
-        diagonal monomials and is checked against the slice rows, which
-        suffices by the restriction argument of the module docstring."""
+        meets, rebuilt by `Polynomial.times_monomial` and not from the packed
+        columns, so a packing fault cannot certify itself; rows of other
+        blocks share no monomial with it.  On the slice, the functional must
+        be supported on diagonal monomials and is checked against the slice
+        rows, which suffices by the restriction argument of the module
+        docstring."""
         if verdict.status == MEMBER:
             acc: dict = {}
             for gi, mon, coeff in verdict.combination:
                 for m2, c2 in self.gens[gi].times_monomial(mon).terms.items():
-                    nv = acc.get(m2, 0) + coeff * c2
-                    if nv:
-                        acc[m2] = nv
-                    else:
-                        acc.pop(m2, None)
-            return acc == f.terms
+                    acc[m2] = acc.get(m2, 0) + coeff * c2
+            return {m: c for m, c in acc.items() if c} == f.terms
         if verdict.status == NON_MEMBER:
             lam = dict(verdict.functional)
             if self.diagonal and not all(map(_is_diagonal, lam)):
@@ -246,9 +252,10 @@ class GradedPiece:
             if apply_functional(lam, f.terms) == 0:
                 return False
             return all(
-                apply_functional(lam, terms) == 0
+                apply_functional(lam, g.times_monomial(m).terms) == 0
                 for w in {self._weight(m) for m in lam}
-                for _, terms in self._block_rows(w)
+                for _, g, _, mons in self._block_multipliers(w)
+                for m, _ in mons
             )
         return False
 

@@ -157,11 +157,11 @@ def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...
 
     The cardinality equals C(n, m)^2 with m = min(prefix_len, size, n-size).
     """
-    basis = TriangularBasis(lambda mon: term_key(n, mon))
+    basis = TriangularBasis()
     return tuple(
         poly
         for _, poly in minor_sum_family(n, prefix_len, size)
-        if not poly.is_zero() and basis.insert(poly.terms)
+        if not poly.is_zero() and basis.insert({term_key(n, mon): c for mon, c in poly.terms.items()})
     )
 
 

@@ -39,18 +39,38 @@ def mon_mul(a: Mon, b: Mon) -> Mon:
 
 
 def term_key(n: int, mon: Mon) -> int:
-    """Graded-lex sort key packed into one int: the total degree, then the
-    exponent digits in (row, col) order.  Digits are `d.bit_length()` bits
-    wide for degree d, wide enough for any exponent, and a higher degree
-    both raises the leading digit and widens the digits, so comparing keys
-    compares (degree, dense exponent vector) lexicographically."""
+    """Graded-lex sort key packed into one int: the degree header, then the
+    exponent digits `pack(n, mon, d)`.  A higher degree both raises the
+    header and widens the digits, so comparing keys compares (degree,
+    dense exponent vector) lexicographically."""
     d = mon_degree(mon)
+    return key_header(n, d) + pack(n, mon, d)
+
+
+def key_header(n: int, d: int) -> int:
+    """The degree digit that heads the term key of every degree-d monomial."""
+    return d << (n * n * d.bit_length())
+
+
+def pack(n: int, mon: Mon, d: int) -> int:
+    """The exponent digits of `mon` in (row, col) order, most significant
+    first, each `d.bit_length()` bits wide.  No exponent of a monomial of
+    degree <= d overflows its digit, so for deg a + deg b = d,
+    term_key(n, a * b) == key_header(n, d) + pack(n, a, d) + pack(n, b, d)."""
     bits = d.bit_length()
     top = n * n
-    key = d << (top * bits)
+    key = 0
     for (r, c), e in mon:
         key |= e << ((top - (r - 1) * n - c) * bits)
     return key
+
+
+def unpack(n: int, key: int, d: int) -> Mon:
+    """The monomial whose `pack(n, ., d)` digits are the low digits of
+    `key`; the header of a degree-d term key is ignored."""
+    bits = d.bit_length()
+    digits = [(key >> ((n * n - 1 - k) * bits)) & ((1 << bits) - 1) for k in range(n * n)]
+    return tuple(((k // n + 1, k % n + 1), e) for k, e in enumerate(digits) if e)
 
 
 def mon_weight(n: int, mon: Mon) -> tuple[int, ...]:

@@ -77,7 +77,7 @@ def layer_tags(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     subsets = list(itertools.combinations(range(1, n + 1), i))
     index = {s: k for k, s in enumerate(subsets)}
     width = len(subsets)
-    basis = TriangularBasis(lambda col: col)
+    basis = TriangularBasis()
     prefixes = list(itertools.combinations(range(1, n + 1), i - 1)) if i else []
     for P in prefixes:
         for Q in prefixes:

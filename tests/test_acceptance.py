@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The large flagged runs (dimension law at n=5, vanishing at n<=10)
-are enabled by setting ORBIT_IDEALS_LARGE=1.
+lines.  The large flagged runs (dimension law at n=5, vanishing at n<=10,
+membership --rel1 at n=6) are enabled by setting ORBIT_IDEALS_LARGE=1.
 """
 
 import json
@@ -189,6 +189,23 @@ def test_criterion_7_size_monotonicity():
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report("7 size monotonicity (ideal inclusion)", elapsed)
+
+
+def test_criterion_7_size_monotonicity_through_the_cli(capsys):
+    # V(i,p+1) in <V(i,p)> for every 1 <= i <= p < n, spanned by the layers;
+    # n = 6 takes about 12 s on a 2-core host
+    t0 = time.time()
+    n = 6 if LARGE else 4
+    code, out = _run_cli(capsys, "membership", "--rel1", "--n", str(n), "--max-n", "6", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    pairs = [(i, p) for p in range(1, n) for i in range(1, p + 1)]
+    assert [(r["i"], r["p"]) for r in report["results"]] == pairs
+    assert len(pairs) == (15 if LARGE else 6)
+    assert all(r["all_member"] for r in report["results"])
+    elapsed = time.time() - t0
+    _report(f"7 size monotonicity through membership --rel1 (n = {n})", elapsed)
 
 
 def test_criterion_8_determinism(capsys):

@@ -250,12 +250,27 @@ def test_membership_redundancy(capsys):
     assert report["zero_space"] is True and report["all_member"] is True
 
 
+def test_membership_schema_rejects_broken_redundancy_reports(capsys):
+    code, out, _ = run(capsys, "membership", "--partition", "2,2,1", "--i", "2", "--json")
+    assert code == 0
+    report = validate_report(out)
+    assert report["candidates"] == len(report["verdicts"]) == 75
+    missing = {k: v for k, v in report.items() if k != "all_member"}
+    mistyped = {**report, "verdicts": {"0": report["verdicts"][0]}}
+    for broken in (missing, mistyped):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(json.dumps(broken))
+
+
 def test_membership_rel1(capsys):
     code, out, _ = run(capsys, "membership", "--rel1", "--n", "3", "--json")
     assert code == 0
     report = validate_report(out)
     assert report["ok"] is True
     assert {(r["i"], r["p"]) for r in report["results"]} == {(1, 1), (1, 2), (2, 2)}
+    for broken in ({k: v for k, v in report.items() if k != "ok"}, {**report, "results": [{"i": 1}]}):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(json.dumps(broken))
 
 
 def test_membership_rel1_needs_two_rows(capsys):

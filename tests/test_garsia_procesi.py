@@ -80,14 +80,14 @@ def hilbert_value(n: int, gens: list[dict], d: int) -> int:
     """dim of the degree-d part of Q[x_11..x_nn] / (gens)."""
     columns = diagonal_monomials(n, d)
     index = {m: k for k, m in enumerate(columns)}
-    basis = TriangularBasis(index.__getitem__)
+    basis = TriangularBasis()
     # generators of higher degree go in first: for (5) this is nine times
     # faster than the schedule's order
     for e, g in sorted(((sum(next(iter(g))), g) for g in gens), key=lambda t: -t[0]):
         if e > d:
             continue
         for m in diagonal_monomials(n, d - e):
-            basis.insert({tuple(a + b for a, b in zip(mon, m)): c for mon, c in g.items()})
+            basis.insert({index[tuple(a + b for a, b in zip(mon, m))]: c for mon, c in g.items()})
     return len(columns) - basis.rank
 
 

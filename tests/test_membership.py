@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -43,7 +45,7 @@ def test_trivial_non_member_empty_piece():
     piece = GradedPiece(3, [g], 1)
     # every block of the degree-1 piece is empty, not only those built so far
     weights = {mon_weight(3, m) for m in monomials_of_degree(3, 1)}
-    assert all(piece._block_rows(w) == [] for w in weights)
+    assert all(list(piece._block_multipliers(w)) == [] for w in weights)
     assert piece.contains(f).status == NON_MEMBER
     assert piece.nonzeros == 0 and piece.rows == []
     assert piece.verify(f, verdict)
@@ -154,6 +156,26 @@ def test_verify_redundant_nonzero_case():
     assert len(report["verdicts"]) == report["candidates"] == 75
     assert report["all_member"]
     assert_printed_members_reverify(Partition((2, 2, 1)), 2, report)
+
+
+def test_pieces_are_freed_by_reference_counting():
+    # verify_redundant drops its piece with `del` before encoding the
+    # verdicts; a reference cycle would leave the blocks to the cyclic
+    # collector and raise the peak memory of redundancy runs
+    _, gens = scheduled_generators(Partition((2, 2, 1)), before_depth=2)
+    cases = ((False, layer_basis(5, 2, 3)[0]), (True, principal_minor_sum(5, 3)))
+    gc.disable()
+    try:
+        for diagonal, candidate in cases:
+            piece = GradedPiece(5, gens, 3, diagonal=diagonal)
+            piece.contains(candidate)
+            block = next(iter(piece._blocks.values()))
+            assert block.rank > 0
+            refs = [weakref.ref(piece), weakref.ref(block)]
+            del piece, block
+            assert [r() for r in refs] == [None, None], diagonal
+    finally:
+        gc.enable()
 
 
 def test_verify_redundant_rectangle():
@@ -406,24 +428,32 @@ def test_verdict_as_dict_round_trips_to_json():
 
 def whole_piece_verdict(n, gens, f):
     """Reference oracle: eliminate every row g * m of the degree piece in one
-    TriangularBasis, in piece order, and derive the certificate from it."""
+    TriangularBasis, in piece order, and derive the certificate from it.
+    Rows are built in monomial space by `times_monomial`; each monomial is
+    then mapped to its `term_key` column."""
     key = lambda mon: term_key(n, mon)
-    basis = TriangularBasis(key, track=True)
+    mon_of = {}
+
+    def columns(terms):
+        mon_of.update((key(m), m) for m in terms)
+        return {key(m): c for m, c in terms.items()}
+
+    basis = TriangularBasis(track=True)
     rows = []
     for gi, g in enumerate(gens):
         if g.is_zero() or g.degree > f.degree:
             continue
         for m in monomials_of_degree(n, f.degree - g.degree):
             rows.append(g.times_monomial(m).terms)
-            basis.insert(rows[-1], (gi, m))
-    residual, combo = basis.reduce(f.terms)
+            basis.insert(columns(rows[-1]), (gi, m))
+    residual, combo = basis.reduce(columns(f.terms))
     if not residual:
         prov = basis.provenance_of(combo)
         items = [(gi, m, Fraction(c)) for (gi, m), c in prov.items() if c]
         items.sort(key=lambda t: (t[0], key(t[1])))
         return MembershipVerdict(MEMBER, combination=tuple(items)), rows
-    lam = basis.annihilator(max(residual, key=key))
-    functional = tuple(sorted(lam.items(), key=lambda t: key(t[0]), reverse=True))
+    lam = basis.annihilator(max(residual))
+    functional = tuple((mon_of[col], c) for col, c in sorted(lam.items(), reverse=True))
     return MembershipVerdict(NON_MEMBER, functional=functional), rows
 
 

@@ -235,13 +235,14 @@ def root_derivation(f: Polynomial, a: int, b: int) -> dict:
 
 def unstable_images(n: int, basis) -> int:
     """How many images D_ab g, over g in `basis` and a != b, leave its span."""
-    span = TriangularBasis(lambda mon: term_key(n, mon))
+    columns = lambda terms: {term_key(n, m): c for m, c in terms.items()}
+    span = TriangularBasis()
     for g in basis:
-        span.insert(g.terms)
+        span.insert(columns(g.terms))
     flagged = 0
     for g in basis:
         for a, b in itertools.permutations(range(1, n + 1), 2):
-            residual, _ = span.reduce(root_derivation(g, a, b))
+            residual, _ = span.reduce(columns(root_derivation(g, a, b)))
             flagged += bool(residual)
     return flagged
 

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from orbitideals.polyring import (
     Polynomial,
+    key_header,
     mon_mul,
     mon_weight,
     monomials_of_degree,
     monomials_of_weight,
+    pack,
     term_key,
+    unpack,
 )
 
 
@@ -167,6 +170,37 @@ def test_packed_term_key_keeps_graded_lex_order(n, a, b):
     assert isinstance(ka, int)
     ta, tb = tuple_term_key(n, ma), tuple_term_key(n, mb)
     assert (ka < kb) == (ta < tb) and (ka == kb) == (ta == tb)
+
+
+@st.composite
+def factored_monomials(draw):
+    """(n, d, a, b): monomials a, b in the n*n variables with deg a + deg b = d."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 8))
+    variables = draw(st.lists(st.integers(0, n * n - 1), min_size=d, max_size=d))
+    k = draw(st.integers(0, d))
+
+    def mon(indices):
+        exps = {}
+        for v in indices:
+            var = (v // n + 1, v % n + 1)
+            exps[var] = exps.get(var, 0) + 1
+        return tuple(sorted(exps.items()))
+
+    return n, d, mon(variables[:k]), mon(variables[k:])
+
+
+@settings(max_examples=200)
+@given(factored_monomials())
+def test_term_key_of_a_product_is_a_sum_of_packs(case):
+    # the graded pieces build the columns of a row g * m this way
+    n, d, a, b = case
+    product = mon_mul(a, b)
+    assert key_header(n, d) == d << (n * n * d.bit_length())
+    assert term_key(n, product) == key_header(n, d) + pack(n, a, d) + pack(n, b, d)
+    for m in (a, b, product):
+        assert unpack(n, pack(n, m, d), d) == m
+    assert unpack(n, term_key(n, product), d) == product
 
 
 def test_monomials_of_weight_is_the_filtered_degree_list():
