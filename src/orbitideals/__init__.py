@@ -4,7 +4,6 @@ from .membership import (
     MEMBER,
     NON_MEMBER,
     GradedPiece,
-    MembershipVerdict,
     ideal_contains,
     scheduled_generators,
     verify_minimal,
@@ -49,7 +48,6 @@ __all__ = [
     "MEMBER",
     "NON_MEMBER",
     "GradedPiece",
-    "MembershipVerdict",
     "ideal_contains",
     "scheduled_generators",
     "verify_minimal",

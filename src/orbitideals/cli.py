@@ -369,8 +369,7 @@ def cmd_membership(args) -> int:
         for p in range(1, n):
             for i in range(1, p + 1):
                 piece = GradedPiece(n, span(i, p), p + 1)
-                statuses = [piece.contains(c).status for c in span(i, p + 1)]
-                all_member = all(s == MEMBER for s in statuses)
+                all_member = all(piece.contains(c)["status"] == MEMBER for c in span(i, p + 1))
                 ok = ok and all_member
                 results.append({"i": i, "p": p, "all_member": all_member})
         report = {

@@ -34,7 +34,7 @@ certificate.  The converse fails, so the slice never answers `member`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import TriangularBasis, apply_functional
 from .orbit import jordan_matrix, prefixed_sum_at_jordan
@@ -74,36 +74,6 @@ def _is_diagonal(mon) -> bool:
 def _restrict(g: Polynomial) -> Polynomial:
     """rho(g): the terms of g whose monomials use only the x_rr."""
     return Polynomial(g.n, {mon: c for mon, c in g.terms.items() if _is_diagonal(mon)})
-
-
-def _mon_records(mon) -> list[list[int]]:
-    return [[r, c, e] for (r, c), e in mon]
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Membership decision together with its exact certificate."""
-
-    status: str
-    # Coefficients are exact rationals: ints, or Fractions where needed.
-    combination: tuple | None = None  # ((gen index, monomial, coeff), ...)
-    functional: tuple | None = None  # ((monomial, coeff), ...)
-    slice: str | None = None  # "diagonal" for a functional found on the slice
-
-    def as_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.combination is not None:
-            out["combination"] = [
-                {"gen": g, "monomial": _mon_records(m), "coeff": str(c)}
-                for g, m, c in self.combination
-            ]
-        if self.functional is not None:
-            out["functional"] = [
-                {"monomial": _mon_records(m), "coeff": str(c)} for m, c in self.functional
-            ]
-        if self.slice is not None:
-            out["slice"] = self.slice
-        return out
 
 
 class GradedPiece:
@@ -193,8 +163,11 @@ class GradedPiece:
                 self.nonzeros += len(packed) * len(mons)
         return basis
 
-    def contains(self, f: Polynomial) -> MembershipVerdict | None:
-        """The verdict on f, or None from a slice where rho(f) is a member."""
+    def contains(self, f: Polynomial) -> dict | None:
+        """The verdict on f, or None from a slice where rho(f) is a member.
+        A verdict is the dict a report prints: `status`, then a member's
+        `combination` [{gen, monomial, coeff}] or a non-member's `functional`
+        [{monomial, coeff}], and `slice: "diagonal"` for one found there."""
         if f.n != self.n:
             raise ValueError("candidate over wrong matrix size")
         if not f.is_zero() and f.degree != self.degree:
@@ -202,7 +175,7 @@ class GradedPiece:
         if self.diagonal:
             f = _restrict(f)
         if f.is_zero():
-            return None if self.diagonal else MembershipVerdict(MEMBER, combination=())
+            return None if self.diagonal else {"status": MEMBER, "combination": []}
         components: dict[tuple, dict] = {}
         for mon, c in f.terms.items():
             components.setdefault(self._weight(mon), {})[self._sign * term_key(self.n, mon)] = c
@@ -218,19 +191,24 @@ class GradedPiece:
         if free:
             lead = max(free)
             lam = free[lead].annihilator(lead)
-            keys = sorted(((self._sign * col, c) for col, c in lam.items()), reverse=True)
-            functional = tuple((unpack(self.n, k, self.degree), c) for k, c in keys)
-            where = "diagonal" if self.diagonal else None
-            return MembershipVerdict(NON_MEMBER, functional=functional, slice=where)
+            functional = []
+            for k, c in sorted(((self._sign * col, c) for col, c in lam.items()), reverse=True):
+                functional.append({"monomial": [[*v, e] for v, e in unpack(self.n, k, self.degree)], "coeff": str(c)})
+            verdict = {"status": NON_MEMBER, "functional": functional}
+            if self.diagonal:
+                verdict["slice"] = "diagonal"
+            return verdict
         if self.diagonal:
             return None
         combination.sort(key=lambda t: (t[0], term_key(self.n, t[1])))
-        return MembershipVerdict(MEMBER, combination=tuple(combination))
+        combination = [{"gen": gi, "monomial": [[*v, e] for v, e in m], "coeff": str(c)} for gi, m, c in combination]
+        return {"status": MEMBER, "combination": combination}
 
-    def verify(self, f: Polynomial, verdict: MembershipVerdict) -> bool:
-        """Re-check a verdict's certificate by independent exact arithmetic.
-        Only `member` and `non_member` verdicts carry a certificate; any
-        other status fails.
+    def verify(self, f: Polynomial, verdict: dict) -> bool:
+        """Re-check a verdict of `contains`, or its `json.loads`, by
+        independent exact arithmetic.  Only `member` and `non_member` carry a
+        certificate, and one that cannot be read fails: a missing key, a `gen`
+        outside range(len(gens)), a variable outside 1..n, a bad coefficient.
 
         A functional is checked against every row of each block its support
         meets, rebuilt by `Polynomial.times_monomial` and not from the packed
@@ -239,28 +217,37 @@ class GradedPiece:
         be supported on diagonal monomials and is checked against the slice
         rows, which suffices by the restriction argument of the module
         docstring."""
-        if verdict.status == MEMBER:
-            acc: dict = {}
-            for gi, mon, coeff in verdict.combination:
-                for m2, c2 in self.gens[gi].times_monomial(mon).terms.items():
-                    acc[m2] = acc.get(m2, 0) + coeff * c2
-            return {m: c for m, c in acc.items() if c} == f.terms
-        if verdict.status == NON_MEMBER:
-            lam = dict(verdict.functional)
-            if self.diagonal and not all(map(_is_diagonal, lam)):
+        monomial = lambda t: tuple(((r, c), e) for r, c, e in t["monomial"])
+        try:
+            if verdict["status"] == MEMBER:
+                acc: dict = {}
+                for t in verdict["combination"]:
+                    if t["gen"] not in range(len(self.gens)):
+                        return False
+                    coeff, mon = Fraction(t["coeff"]), monomial(t)
+                    # the product is a Polynomial: ValueError on a bad variable
+                    for m2, c2 in self.gens[t["gen"]].times_monomial(mon).terms.items():
+                        acc[m2] = acc.get(m2, 0) + coeff * c2
+                return {m: c for m, c in acc.items() if c} == f.terms
+            if verdict["status"] != NON_MEMBER:
                 return False
-            if apply_functional(lam, f.terms) == 0:
-                return False
-            return all(
-                apply_functional(lam, g.times_monomial(m).terms) == 0
-                for w in {self._weight(m) for m in lam}
-                for _, g, _, mons in self._block_multipliers(w)
-                for m, _ in mons
-            )
-        return False
+            lam = {monomial(t): Fraction(t["coeff"]) for t in verdict["functional"]}
+            Polynomial(self.n, dict.fromkeys(lam, 1))  # ValueError on a bad variable
+        except (ArithmeticError, LookupError, TypeError, ValueError):
+            return False
+        if self.diagonal and not all(map(_is_diagonal, lam)):
+            return False
+        if apply_functional(lam, f.terms) == 0:
+            return False
+        return all(
+            apply_functional(lam, g.times_monomial(m).terms) == 0
+            for w in {self._weight(m) for m in lam}
+            for _, g, _, mons in self._block_multipliers(w)
+            for m, _ in mons
+        )
 
 
-def ideal_contains(f: Polynomial, gens) -> MembershipVerdict:
+def ideal_contains(f: Polynomial, gens) -> dict:
     """Decide whether f lies in the ideal generated by `gens`.
 
     The diagonal slice is tried first: it is far smaller than the weight
@@ -269,7 +256,7 @@ def ideal_contains(f: Polynomial, gens) -> MembershipVerdict:
     weight blocks decide."""
     gens = tuple(gens)
     if f.is_zero():
-        return MembershipVerdict(MEMBER, combination=())
+        return {"status": MEMBER, "combination": []}
     verdict = GradedPiece(f.n, gens, f.degree, diagonal=True).contains(f)
     if verdict is None:
         verdict = GradedPiece(f.n, gens, f.degree).contains(f)
@@ -304,14 +291,17 @@ def scheduled_generators(mu: Partition, before_depth: int | None = None):
 
 
 def verify_redundant(mu: Partition, i: int) -> dict:
-    """Certify that the excluded depth-i space lies in the ideal of the
-    invariants and the scheduled spaces of smaller depth.
+    """Certify that the `layer_basis(n, i, p)` representatives of the
+    excluded depth i lie in the ideal of the invariants and the scheduled
+    spaces of smaller depth.  They span V(i,p) only together with V(i-1,p),
+    so `all_member` proves V(i,p) in the ideal only given V(i-1,p) in it,
+    which no check certifies yet (ROADMAP item 10).
 
     Returns the JSON-ready report: `partition`, `i`, the size `p`,
     `zero_space`, the earlier `generators` by label, one `verdicts` entry
-    (`MembershipVerdict.as_dict`) per basis element of the space, their
-    number as `candidates`, and `all_member`.  A zero space has no
-    candidates and is vacuously generated."""
+    (the dict of `GradedPiece.contains`) per representative, their number
+    as `candidates`, and `all_member`.  A zero space has no candidates and
+    is vacuously generated."""
     if i not in excluded_depths(mu):
         raise ValueError(f"depth {i} is not excluded for {mu}")
     n = mu.n
@@ -321,11 +311,7 @@ def verify_redundant(mu: Partition, i: int) -> dict:
     if not zero_space:
         labels, gens = scheduled_generators(mu, before_depth=i)
         piece = GradedPiece(n, gens, p)
-        found = [piece.contains(c) for c in layer_basis(n, i, p)]
-        # free the piece's blocks before encoding: peak RSS stays that of
-        # the elimination (0.4 MB less at depth 2 of (2,2,2))
-        del piece
-        verdicts = [v.as_dict() for v in found]
+        verdicts = [piece.contains(c) for c in layer_basis(n, i, p)]
     return {
         "partition": str(mu),
         "i": i,
@@ -403,8 +389,9 @@ def verify_minimal(mu: Partition) -> dict:
 
     Scheduled minor spaces get vanishing-point non-membership certificates
     at the Jordan matrices of witness orbits; invariants are checked against
-    the remaining generators by the graded oracle; excluded depths are
-    certified members.
+    the remaining generators by the graded oracle, whose verdict is the
+    check's `detail`; excluded depths get their `layer_basis`
+    representatives certified members (see `verify_redundant`).
     Inconclusive outcomes are reported, never silenced.
 
     Returns the JSON-ready report: `partition`, `n`, one `checks` entry
@@ -422,7 +409,7 @@ def verify_minimal(mu: Partition) -> dict:
     # the invariant layers come first, one generator each
     for k, p in enumerate(sched.invariant_degrees):
         verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
-        checks.append(_check("invariant", 0, p, NON_MEMBER, verdict.status, verdict.as_dict()))
+        checks.append(_check("invariant", 0, p, NON_MEMBER, verdict["status"], verdict))
 
     for i in excluded_depths(mu):
         report = verify_redundant(mu, i)

@@ -175,7 +175,7 @@ def test_criterion_7_size_monotonicity():
     piece = GradedPiece(3, minor_sum_basis(3, 1, 2), 3)
     for cand in minor_sum_basis(3, 1, 3):
         verdict = piece.contains(cand)
-        assert verdict.status == MEMBER
+        assert verdict["status"] == MEMBER
         assert piece.verify(cand, verdict)
     # the full sweep at n <= 4
     for n in (2, 3, 4):
@@ -184,7 +184,7 @@ def test_criterion_7_size_monotonicity():
                 piece = GradedPiece(n, minor_sum_basis(n, i, p), p + 1)
                 for cand in minor_sum_basis(n, i, p + 1):
                     verdict = piece.contains(cand)
-                    assert verdict.status == MEMBER, (n, i, p)
+                    assert verdict["status"] == MEMBER, (n, i, p)
                     assert piece.verify(cand, verdict)
     elapsed = time.time() - t0
     assert elapsed < 300.0

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitideals import cli, membership
 from orbitideals.cli import main, render_diagram
-from orbitideals.membership import MembershipVerdict
 from orbitideals.partitions import (
     admits_minor_space,
     full_schedule,
@@ -262,6 +261,36 @@ def test_membership_schema_rejects_broken_redundancy_reports(capsys):
             validate_report(json.dumps(broken))
 
 
+def test_schema_types_every_printed_verdict(capsys):
+    # a verdict is typed where a redundancy report lists it and where it is
+    # the detail of an invariant check; SUBCOMMANDS reports all validate
+    code, out, _ = run(capsys, "membership", "--partition", "2,2,1", "--i", "2", "--json")
+    assert code == 0
+    report = validate_report(out)
+    term = report["verdicts"][0]["combination"][0]
+    for change in ({"coeff": "1.5"}, {"coeff": "x"}, {"gen": -1}, {"monomial": [[0, 1, 1]]}, {"extra": 1}):
+        verdict = {**report["verdicts"][0], "combination": [{**term, **change}]}
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(json.dumps({**report, "verdicts": [verdict]}))
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(json.dumps({**report, "verdicts": [{"status": "member"}]}))
+
+    code, out, _ = run(capsys, "verify", "minimal", "--partition", "2,1,1", "--json")
+    assert code == 0
+    report = validate_report(out)
+    checks = report["minimality"]["checks"]
+    k = next(k for k, c in enumerate(checks) if c["kind"] == "invariant")
+    detail = checks[k]["detail"]
+    assert detail["status"] == "non_member" and detail["slice"] == "diagonal"
+    first = detail["functional"][0]
+    for change in ({"functional": [{**first, "coeff": "1/x"}]}, {"slice": "full"}, {"status": "consistent_non_member"}):
+        broken = [*checks[:k], {**checks[k], "detail": {**detail, **change}}, *checks[k + 1 :]]
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(json.dumps({**report, "minimality": {**report["minimality"], "checks": broken}}))
+    # a minor-space detail is not a verdict
+    assert any(c["kind"] == "minor_space" and "status" not in c["detail"] for c in checks)
+
+
 def test_membership_rel1(capsys):
     code, out, _ = run(capsys, "membership", "--rel1", "--n", "3", "--json")
     assert code == 0
@@ -342,12 +371,13 @@ def test_verify_single_suites(capsys):
 
 
 def test_verify_failing_check_exits_one(monkeypatch, capsys):
-    # a verdict without a certificate fails the invariant checks
-    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: MembershipVerdict("consistent_non_member"))
+    # an oracle that wrongly answers `member` fails the invariant checks; its
+    # empty combination certifies nothing, yet the report it gives is typed
+    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: {"status": "member", "combination": []})
     code, out, _ = run(capsys, "verify", "minimal", "--partition", "3")
     assert code == 1
     lines = out.splitlines()
-    assert "  minimality invariant (i=0, p=1): FAIL (consistent_non_member)" in lines
+    assert "  minimality invariant (i=0, p=1): FAIL (member)" in lines
     assert lines[-1] == "result: FAIL"
     code, out, _ = run(capsys, "verify", "minimal", "--partition", "3", "--json")
     assert code == 1

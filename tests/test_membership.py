@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import weakref
 from fractions import Fraction
@@ -12,7 +13,6 @@ from orbitideals.membership import (
     MEMBER,
     NON_MEMBER,
     GradedPiece,
-    MembershipVerdict,
     ideal_contains,
     scheduled_generators,
     verify_minimal,
@@ -20,19 +20,29 @@ from orbitideals.membership import (
     verify_redundant,
 )
 from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
-from orbitideals.partitions import Partition, minimal_schedule, partitions_of
+from orbitideals.partitions import Partition, excluded_depths, minimal_schedule, partitions_of
 from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, term_key
 from orbitideals.schur import layer_basis
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
 
+def records(terms) -> list:
+    """A functional {monomial: coeff} as a verdict prints it."""
+    return [{"monomial": [[*v, e] for v, e in mon], "coeff": str(c)} for mon, c in terms.items()]
+
+
+def functional_of(verdict) -> dict:
+    """The functional a non-member verdict prints, as {monomial: coeff}."""
+    return {tuple(((r, c), e) for r, c, e in t["monomial"]): Fraction(t["coeff"]) for t in verdict["functional"]}
+
+
 def test_member_by_construction():
     g = principal_minor_sum(3, 2)
     f = g.times_monomial((((1, 2), 1),))
     verdict = ideal_contains(f, [g])
-    assert verdict.status == MEMBER
-    assert verdict.combination == ((0, (((1, 2), 1),), Fraction(1)),)
+    assert verdict["status"] == MEMBER
+    assert verdict["combination"] == [{"gen": 0, "monomial": [[1, 2, 1]], "coeff": "1"}]
     piece = GradedPiece(3, [g], 3)
     assert piece.verify(f, verdict)
 
@@ -41,20 +51,20 @@ def test_trivial_non_member_empty_piece():
     g = principal_minor_sum(3, 2)
     f = Polynomial.variable(3, 1, 2)
     verdict = ideal_contains(f, [g])
-    assert verdict.status == NON_MEMBER
+    assert verdict["status"] == NON_MEMBER
     piece = GradedPiece(3, [g], 1)
     # every block of the degree-1 piece is empty, not only those built so far
     weights = {mon_weight(3, m) for m in monomials_of_degree(3, 1)}
     assert all(list(piece._block_multipliers(w)) == [] for w in weights)
-    assert piece.contains(f).status == NON_MEMBER
+    assert piece.contains(f)["status"] == NON_MEMBER
     assert piece.nonzeros == 0 and piece.rows == []
     assert piece.verify(f, verdict)
 
 
 def test_zero_candidate_is_member():
     verdict = ideal_contains(Polynomial.zero(3), [principal_minor_sum(3, 1)])
-    assert verdict.status == MEMBER
-    assert verdict.combination == ()
+    assert verdict["status"] == MEMBER
+    assert verdict["combination"] == []
 
 
 def test_degree_mismatch_rejected():
@@ -68,7 +78,7 @@ def test_rel1_echo_n3():
     piece = GradedPiece(3, gens, 3)
     for c in minor_sum_basis(3, 1, 3):
         verdict = piece.contains(c)
-        assert verdict.status == MEMBER
+        assert verdict["status"] == MEMBER
         assert piece.verify(c, verdict)
 
 
@@ -76,8 +86,8 @@ def test_non_member_functional_certificate():
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
     verdict = ideal_contains(f, [t1])
-    assert verdict.status == NON_MEMBER
-    lam = dict(verdict.functional)
+    assert verdict["status"] == NON_MEMBER
+    lam = functional_of(verdict)
     # every row t1 * m of the degree-2 piece, built here rather than read
     # from a piece, whose blocks are built only on demand
     rows = [t1.times_monomial(m).terms for m in monomials_of_degree(3, 1)]
@@ -89,7 +99,7 @@ def test_non_member_functional_certificate():
     # a functional that is nonzero on a row t1 * m is rejected, whether that
     # row lies in f's weight block (t1 * x11) or in another (t1 * x12)
     for extra in ((((1, 1), 2),), (((1, 1), 1), ((1, 2), 1))):
-        bad = MembershipVerdict(NON_MEMBER, functional=verdict.functional + ((extra, Fraction(1)),))
+        bad = {**verdict, "functional": verdict["functional"] + records({extra: 1})}
         assert not piece.verify(f, bad)
 
 
@@ -105,7 +115,7 @@ def test_member_certificate_fails_on_tampering():
 def test_verdict_without_certificate_is_rejected(monkeypatch):
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    uncertified = MembershipVerdict("consistent_non_member")
+    uncertified = {"status": "consistent_non_member"}
     assert not GradedPiece(3, [t1], 2).verify(f, uncertified)
     # verify_minimal accepts an invariant only with a functional certificate
     monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: uncertified)
@@ -119,13 +129,13 @@ def test_rel1_members_and_t1_non_member_reverify():
     piece = GradedPiece(3, gens, 3)
     for c in minor_sum_basis(3, 1, 3):
         verdict = piece.contains(c)
-        assert verdict.status == MEMBER
+        assert verdict["status"] == MEMBER
         assert piece.verify(c, verdict)
 
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
     verdict = ideal_contains(f, [t1])
-    assert verdict.status == NON_MEMBER
+    assert verdict["status"] == NON_MEMBER
     assert GradedPiece(3, [t1], 2).verify(f, verdict)
 
 
@@ -134,7 +144,7 @@ def test_depth_two_member_certificate_reverifies():
     piece = GradedPiece(4, gens, 3)
     cand = minor_sum_basis(4, 2, 3)[0]
     verdict = piece.contains(cand)
-    assert verdict.status == MEMBER
+    assert verdict["status"] == MEMBER
     assert piece.verify(cand, verdict)
 
 
@@ -159,9 +169,9 @@ def test_verify_redundant_nonzero_case():
 
 
 def test_pieces_are_freed_by_reference_counting():
-    # verify_redundant drops its piece with `del` before encoding the
-    # verdicts; a reference cycle would leave the blocks to the cyclic
-    # collector and raise the peak memory of redundancy runs
+    # verify_redundant drops its piece when it returns; a reference cycle
+    # would leave the blocks to the cyclic collector and raise the peak
+    # memory of redundancy runs
     _, gens = scheduled_generators(Partition((2, 2, 1)), before_depth=2)
     cases = ((False, layer_basis(5, 2, 3)[0]), (True, principal_minor_sum(5, 3)))
     gc.disable()
@@ -262,10 +272,10 @@ def test_verify_minimal_curated_larger_partitions():
     t5 = principal_minor_sum(5, 5)
     piece = GradedPiece(5, others, 5, diagonal=True)
     verdict = piece.contains(t5)
-    assert verdict.slice == "diagonal"
+    assert verdict["slice"] == "diagonal"
     # rho(t_q) * m for the diagonal m of degree 5 - q: 70 + 35 + 15 + 5 rows
     assert len(piece.rows) == 125
-    assert verdict.as_dict() == t5_check["detail"]
+    assert verdict == t5_check["detail"]
     assert GradedPiece(5, others, 5).verify(t5, verdict)
 
 
@@ -277,21 +287,6 @@ def test_verify_minimal_regular_orbit_n6():
     ]
 
 
-def verdict_from_dict(d: dict) -> MembershipVerdict:
-    """The verdict a report's `as_dict` was made from: its member
-    combination or its functional, read back exactly."""
-
-    def mon(records):
-        return tuple(((r, c), e) for r, c, e in records)
-
-    combination = functional = None
-    if "combination" in d:
-        combination = tuple((t["gen"], mon(t["monomial"]), Fraction(t["coeff"])) for t in d["combination"])
-    if "functional" in d:
-        functional = tuple((mon(t["monomial"]), Fraction(t["coeff"])) for t in d["functional"])
-    return MembershipVerdict(d["status"], combination=combination, functional=functional, slice=d.get("slice"))
-
-
 def assert_printed_members_reverify(mu: Partition, i: int, report: dict):
     """Each member combination a redundancy report prints recombines its
     candidate exactly in a fresh piece."""
@@ -301,7 +296,7 @@ def assert_printed_members_reverify(mu: Partition, i: int, report: dict):
     piece = GradedPiece(mu.n, gens, report["p"])
     for cand, v in zip(candidates, report["verdicts"]):
         assert v["status"] == MEMBER, (mu, i)
-        assert piece.verify(cand, verdict_from_dict(v)), (mu, i)
+        assert piece.verify(cand, v), (mu, i)
 
 
 def test_invariant_functionals_hold_on_full_pieces():
@@ -318,7 +313,7 @@ def test_invariant_functionals_hold_on_full_pieces():
                 assert c["status"] == NON_MEMBER and c["detail"]["slice"] == "diagonal", (mu, c["p"])
                 k = labels.index(f"t_{c['p']}")
                 piece = GradedPiece(n, gens[:k] + gens[k + 1 :], c["p"])
-                assert piece.verify(gens[k], verdict_from_dict(c["detail"])), (mu, c["p"])
+                assert piece.verify(gens[k], c["detail"]), (mu, c["p"])
 
 
 def test_invariants_at_n7_are_certified_on_the_slice():
@@ -331,7 +326,7 @@ def test_invariants_at_n7_are_certified_on_the_slice():
         _, gens = scheduled_generators(mu)
         for k, p in enumerate(minimal_schedule(mu).invariant_degrees):
             verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
-            assert verdict.status == NON_MEMBER and verdict.slice == "diagonal", (mu, p)
+            assert verdict["status"] == NON_MEMBER and verdict["slice"] == "diagonal", (mu, p)
             checks += 1
     assert checks == (54 if LARGE else 35)
 
@@ -342,9 +337,8 @@ def test_slice_member_falls_back_to_the_weight_blocks():
     # rho(f) = 0, so the slice proves nothing
     assert GradedPiece(3, [t1], 2, diagonal=True).contains(f) is None
     verdict = ideal_contains(f, [t1])
-    assert verdict.status == NON_MEMBER and verdict.slice is None
-    assert "slice" not in verdict.as_dict()
-    assert any(r != c for mon, _ in verdict.functional for (r, c), _ in mon)
+    assert verdict["status"] == NON_MEMBER and "slice" not in verdict
+    assert any(r != c for t in verdict["functional"] for r, c, _ in t["monomial"])
     assert GradedPiece(3, [t1], 2).verify(f, verdict)
 
 
@@ -355,8 +349,8 @@ def test_member_through_ideal_contains_keeps_its_combination():
     assert GradedPiece(3, [g], 3, diagonal=True).contains(f) is None
     verdict = ideal_contains(f, [g])
     assert verdict == GradedPiece(3, [g], 3).contains(f)
-    assert verdict.combination == ((0, x11, 1),)
-    assert "slice" not in verdict.as_dict()
+    assert verdict["combination"] == [{"gen": 0, "monomial": [[1, 1, 1]], "coeff": "1"}]
+    assert "slice" not in verdict
     assert GradedPiece(3, [g], 3).verify(f, verdict)
 
 
@@ -365,23 +359,23 @@ def test_slice_functional_is_checked_on_the_slice_rows():
     t3, others = gens[2], gens[:2]
     piece = GradedPiece(3, others, 3, diagonal=True)
     verdict = piece.contains(t3)
-    assert verdict.status == NON_MEMBER and verdict.slice == "diagonal"
-    assert all(r == c for mon, _ in verdict.functional for (r, c), _ in mon)
+    assert verdict["status"] == NON_MEMBER and verdict["slice"] == "diagonal"
+    assert all(r == c for t in verdict["functional"] for r, c, _ in t["monomial"])
     assert piece.verify(t3, verdict)
     full = GradedPiece(3, others, 3)
     assert full.verify(t3, verdict)
     # nonzero on the slice row rho(t_1) * x11^2 = x11^3 + x11^2 x22 + x11^2 x33
-    lam = dict(verdict.functional)
+    lam = functional_of(verdict)
     x11_3 = (((1, 1), 3),)
     lam[x11_3] = lam.get(x11_3, 0) + 1
-    tampered = MembershipVerdict(NON_MEMBER, functional=tuple(lam.items()), slice="diagonal")
+    tampered = {"status": NON_MEMBER, "functional": records(lam), "slice": "diagonal"}
     assert apply_functional(lam, t3.terms) != 0
     assert not piece.verify(t3, tampered)
     assert not full.verify(t3, tampered)
     # the slice rows say nothing off the diagonal, so such support is refused
     off = (((1, 1), 1), ((1, 2), 1), ((2, 1), 1))  # not a term of t_3
-    widened = MembershipVerdict(NON_MEMBER, functional=verdict.functional + ((off, 1),), slice="diagonal")
-    assert apply_functional(dict(widened.functional), t3.terms) != 0
+    widened = {**verdict, "functional": verdict["functional"] + records({off: 1})}
+    assert apply_functional(functional_of(widened), t3.terms) != 0
     assert not piece.verify(t3, widened)
     assert not full.verify(t3, widened)  # nonzero on t_1 * x12 x21
 
@@ -406,21 +400,73 @@ def test_random_combinations_are_members(coeffs):
     for c, (gi, mon) in zip(coeffs, multipliers):
         f = f + gens[gi].times_monomial(mon) * c
     verdict = ideal_contains(f, gens)
-    assert verdict.status == MEMBER
+    assert verdict["status"] == MEMBER
     piece = GradedPiece(3, gens, 3)
     assert piece.verify(f, verdict)
 
 
-def test_verdict_as_dict_round_trips_to_json():
-    import json
+def test_every_printed_verdict_reverifies_after_a_json_round_trip():
+    """`verify` checks the certificate as printed: every verdict of
+    `verify_minimal` (mu of n <= 5) and of `verify_redundant` (every
+    excluded depth there), read back by `json.loads`."""
+    read_back = lambda v: json.loads(json.dumps(v))
+    checked = {MEMBER: 0, NON_MEMBER: 0}
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            labels, gens = scheduled_generators(mu)
+            for c in verify_minimal(mu)["checks"]:
+                if c["kind"] == "invariant":
+                    k = labels.index(f"t_{c['p']}")
+                    piece = GradedPiece(n, gens[:k] + gens[k + 1 :], c["p"], diagonal=True)
+                    assert piece.verify(gens[k], read_back(c["detail"])), (mu, c["p"])
+                    checked[c["detail"]["status"]] += 1
+            for i in excluded_depths(mu):
+                report = verify_redundant(mu, i)
+                _, earlier = scheduled_generators(mu, before_depth=i)
+                piece = GradedPiece(n, earlier, report["p"])
+                for cand, v in zip(layer_basis(n, i, report["p"]), report["verdicts"]):
+                    assert piece.verify(cand, read_back(v)), (mu, i)
+                    checked[v["status"]] += 1
+    assert checked == {MEMBER: 75, NON_MEMBER: 42}
 
+
+def test_unreadable_or_altered_certificates_are_rejected():
     g = principal_minor_sum(3, 2)
     f = g.times_monomial((((1, 2), 1),))
-    verdict = ideal_contains(f, [g])
-    encoded = json.dumps(verdict.as_dict(), sort_keys=True)
-    decoded = json.loads(encoded)
-    assert decoded["status"] == "member"
-    assert decoded["combination"][0]["coeff"] == "1"
+    member = ideal_contains(f, [g])
+    piece = GradedPiece(3, [g], 3)
+    term = member["combination"][0]
+    broken_terms = [
+        {**term, "coeff": "2"},
+        {**term, "gen": 1},
+        {**term, "gen": -1},
+        {**term, "monomial": [[1, 4, 1]]},
+        {**term, "monomial": [[0, 2, 1]]},
+        {**term, "coeff": "x"},
+        {"monomial": term["monomial"], "coeff": term["coeff"]},
+    ]
+    for t in broken_terms:
+        assert piece.verify(f, {**member, "combination": [t]}) is False, t
+    for junk in (None, [], "member", {"status": MEMBER}, {"status": MEMBER, "combination": None}):
+        assert piece.verify(f, junk) is False, junk
+
+    _, gens = scheduled_generators(Partition((3,)))
+    t3, others = gens[2], gens[:2]
+    slice_piece = GradedPiece(3, others, 3, diagonal=True)
+    non_member = slice_piece.contains(t3)
+    first, rest = non_member["functional"][0], non_member["functional"][1:]
+    broken_firsts = [
+        {**first, "coeff": str(Fraction(first["coeff"]) + 1)},
+        {**first, "monomial": [[4, 4, 3]]},
+        {**first, "monomial": [[0, 0, 3]]},
+        {**first, "coeff": "x"},
+        {**first, "coeff": "1/0"},
+    ]
+    for t in broken_firsts:
+        assert slice_piece.verify(t3, {**non_member, "functional": [t] + rest}) is False, t
+    assert slice_piece.verify(t3, {"status": NON_MEMBER, "slice": "diagonal"}) is False
+    # the certificates as printed pass
+    assert piece.verify(f, member) and slice_piece.verify(t3, non_member)
 
 
 # -- torus-weight blocks against the whole graded piece -----------------------
@@ -451,10 +497,11 @@ def whole_piece_verdict(n, gens, f):
         prov = basis.provenance_of(combo)
         items = [(gi, m, Fraction(c)) for (gi, m), c in prov.items() if c]
         items.sort(key=lambda t: (t[0], key(t[1])))
-        return MembershipVerdict(MEMBER, combination=tuple(items)), rows
+        combination = [{"gen": gi, "monomial": [[*v, e] for v, e in m], "coeff": str(c)} for gi, m, c in items]
+        return {"status": MEMBER, "combination": combination}, rows
     lam = basis.annihilator(max(residual))
-    functional = tuple((mon_of[col], c) for col, c in sorted(lam.items(), reverse=True))
-    return MembershipVerdict(NON_MEMBER, functional=functional), rows
+    functional = records({mon_of[col]: c for col, c in sorted(lam.items(), reverse=True)})
+    return {"status": NON_MEMBER, "functional": functional}, rows
 
 
 def generator_pool(n):
@@ -476,8 +523,8 @@ def assert_blocks_match_whole_piece(n, gens, f):
     reference, rows = whole_piece_verdict(n, gens, f)
     assert verdict == reference
     assert piece.verify(f, verdict)
-    if verdict.status == NON_MEMBER:
-        lam = dict(verdict.functional)
+    if verdict["status"] == NON_MEMBER:
+        lam = functional_of(verdict)
         assert all(apply_functional(lam, terms) == 0 for terms in rows)
     return piece, verdict
 
@@ -511,13 +558,13 @@ def test_mixed_weight_candidate_uses_the_failing_block():
     member_part = t1 * x12  # weight e1 - e2
     outside_part = x12 * x21  # weight 0, not in <t1>
     piece, verdict = assert_blocks_match_whole_piece(3, [t1], member_part + outside_part)
-    assert verdict.status == NON_MEMBER
-    assert {mon_weight(3, m) for m, _ in verdict.functional} == {(0, 0, 0)}
+    assert verdict["status"] == NON_MEMBER
+    assert {mon_weight(3, m) for m in functional_of(verdict)} == {(0, 0, 0)}
     # only the blocks the candidate meets were built: t1 times x11, x22, x33
     # and t1 times x12, not all 9 rows
     assert len(piece.rows) == 3 + 1
     _, verdict = assert_blocks_match_whole_piece(3, [t1], member_part + t1 * x21)
-    assert verdict.status == MEMBER
+    assert verdict["status"] == MEMBER
 
 
 def test_inhomogeneous_generator_gives_one_block():

@@ -1,0 +1,56 @@
+"""Differential tests against sympy, an independent computer algebra system:
+determinants against `minor`, and Groebner-basis membership against
+`ideal_contains`.  sympy is a test extra; without it the module is skipped."""
+
+import itertools
+import os
+
+import pytest
+
+from orbitideals.membership import MEMBER, NON_MEMBER, ideal_contains, scheduled_generators
+from orbitideals.minors import minor
+from orbitideals.partitions import partitions_of
+from orbitideals.schur import layer_basis
+
+sympy = pytest.importorskip("sympy")
+
+LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
+
+
+def variables(n):
+    return sympy.Matrix(n, n, lambda r, c: sympy.Symbol(f"x{r + 1}{c + 1}"))
+
+
+def to_sympy(poly, x):
+    return sympy.Add(*(c * sympy.Mul(*(x[r - 1, col - 1] ** e for (r, col), e in mon)) for mon, c in poly.terms.items()))
+
+
+def test_minor_matches_sympy_det():
+    count = 0
+    for n in range(1, 5):
+        x = variables(n)
+        for size in range(1, n + 1):
+            for rows in itertools.combinations(range(1, n + 1), size):
+                for cols in itertools.combinations(range(1, n + 1), size):
+                    det = x.extract([r - 1 for r in rows], [c - 1 for c in cols]).det(method="berkowitz")
+                    assert sympy.expand(det - to_sympy(minor(n, rows, cols), x)) == 0, (rows, cols)
+                    count += 1
+    assert count == 1 + 5 + 19 + 69
+
+
+def test_membership_matches_sympy_groebner():
+    """Every layer_basis(n, i, p) element against the ideal of the minimal
+    schedule of every mu of n: n = 3 (57 cases), and n = 4 (345 cases,
+    about 5 s) with ORBIT_IDEALS_LARGE=1."""
+    cases = 0
+    for n in (3, 4) if LARGE else (3,):
+        x = variables(n)
+        candidates = [c for p in range(1, n + 1) for i in range(p + 1) for c in layer_basis(n, i, p)]
+        for mu in partitions_of(n):
+            _, gens = scheduled_generators(mu)
+            basis = sympy.groebner([to_sympy(g, x) for g in gens], *x, order="grevlex")
+            for c in candidates:
+                expected = MEMBER if basis.contains(to_sympy(c, x)) else NON_MEMBER
+                assert ideal_contains(c, gens)["status"] == expected, (mu, c)
+                cases += 1
+    assert cases == (57 + 345 if LARGE else 57)
