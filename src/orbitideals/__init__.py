@@ -25,9 +25,7 @@ from .orbit import (
     sample_orbit,
 )
 from .partitions import (
-    GeneratorDescriptor,
     Partition,
-    Schedule,
     admits_minor_space,
     excluded_depths,
     full_schedule,
@@ -63,9 +61,7 @@ __all__ = [
     "jordan_matrix",
     "kernel_dimensions",
     "sample_orbit",
-    "GeneratorDescriptor",
     "Partition",
-    "Schedule",
     "admits_minor_space",
     "excluded_depths",
     "full_schedule",

@@ -30,7 +30,7 @@ from .partitions import (
     rank_variety_schedule,
     redundancy_witness,
 )
-from .schur import dimension_table, layer_basis
+from .schur import dimension_table, layer_basis, layer_dimension
 
 DEFAULT_MAX_N = 5
 WORKDIR_ENV = "ORBIT_IDEALS_WORKDIR"
@@ -137,22 +137,20 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _descriptor_dicts(schedule):
-    return [
-        {"i": d.i, "p": d.p, "degree": d.p, "dimension": d.dimension}
-        for d in schedule.minor_spaces
-    ]
+def _descriptor_dicts(layers, n: int):
+    """The minor-space layers of a schedule, with their dimensions."""
+    return [{"i": i, "p": p, "degree": p, "dimension": layer_dimension(n, i)} for i, p in layers if i]
 
 
 def render_diagram(mu: Partition, arrows) -> list[str]:
     """Young diagram of the conjugate partition with an arrow below column i
     for every scheduled minor space of depth i."""
-    conj = mu.conjugate().parts
+    conj = mu.conjugate()
     width = conj[0]
     arrows = set(arrows)
     height = len(conj)
     if arrows:
-        height = max(height, max(mu.parts[c - 1] for c in arrows) + 1)
+        height = max(height, max(mu[c - 1] for c in arrows) + 1)
     lines = []
     for r in range(height):
         boxes = conj[r] if r < len(conj) else 0
@@ -160,7 +158,7 @@ def render_diagram(mu: Partition, arrows) -> list[str]:
         for c in range(1, width + 1):
             if c <= boxes:
                 cells.append("[]")
-            elif c in arrows and mu.parts[c - 1] == r:
+            elif c in arrows and mu[c - 1] == r:
                 cells.append("^ ")
             else:
                 cells.append("  ")
@@ -174,7 +172,7 @@ def cmd_schedule(args) -> int:
     minimal = rank_variety_schedule(mu, ambient)  # raises when ambient < |mu|
     rank_variety = ambient > mu.n
     full = None if rank_variety else full_schedule(mu)
-    arrows = [d.i for d in minimal.minor_spaces]
+    arrows = [i for i, _ in minimal if i]
     diagram = render_diagram(mu, arrows)
     report = {
         "report": "schedule",
@@ -183,9 +181,9 @@ def cmd_schedule(args) -> int:
         "n": ambient,
         "conjugate": str(mu.conjugate()),
         "rank_variety": rank_variety,
-        "invariants": list(minimal.invariant_degrees),
-        "minimal": _descriptor_dicts(minimal),
-        "full": None if full is None else _descriptor_dicts(full),
+        "invariants": [p for i, p in minimal if not i],
+        "minimal": _descriptor_dicts(minimal, ambient),
+        "full": None if full is None else _descriptor_dicts(full, ambient),
         "arrows": arrows,
         "diagram": diagram,
     }
@@ -200,18 +198,12 @@ def cmd_schedule(args) -> int:
     ]
     if rank_variety:
         lines.append("rank variety inside larger matrices; literal critical sizes")
-    inv = minimal.invariant_degrees
+    inv = report["invariants"]
     lines.append(f"invariants: t_p for p = {inv[0]}..{inv[-1]}")
     if full is not None:
-        lines.append(
-            "full minor spaces:    "
-            + " ".join(f"({d.i},{d.p})" for d in full.minor_spaces)
-        )
-    lines.append(
-        "minimal minor spaces: "
-        + " ".join(f"({d.i},{d.p})" for d in minimal.minor_spaces)
-    )
-    lines.append("dimensions:           " + " ".join(str(d.dimension) for d in minimal.minor_spaces))
+        lines.append("full minor spaces:    " + " ".join(f"({i},{p})" for i, p in full if i))
+    lines.append("minimal minor spaces: " + " ".join(f"({i},{p})" for i, p in minimal if i))
+    lines.append("dimensions:           " + " ".join(str(d["dimension"]) for d in report["minimal"]))
     lines.append(f"arrows under columns: {', '.join(map(str, arrows)) if arrows else '(none)'}")
     lines.append("")
     lines.extend(diagram)
@@ -222,12 +214,12 @@ def cmd_schedule(args) -> int:
 def cmd_generators(args) -> int:
     mu = parse_partition(args.partition)
     n = mu.n
-    sched = minimal_schedule(mu)
-    count = len(sched.invariant_degrees) + sum(d.dimension for d in sched.minor_spaces)
+    layers = minimal_schedule(mu)
+    count = sum(layer_dimension(n, i) for i, _ in layers)
     if _refused(n, args, f" (about {count} generators of degree up to {mu.critical_size(len(mu))})"):
         return 3
     families = []
-    for i, p in sched.layers():
+    for i, p in layers:
         basis = layer_basis(n, i, p)
         families.append(
             {
@@ -299,32 +291,14 @@ def cmd_witness(args) -> int:
     for i in depths:
         if not (2 <= i <= len(mu)):
             return _usage_error(f"depth {i} out of range 2..{len(mu)}")
-        if admits_minor_space(mu, i):
-            p = mu.critical_size(i)
-            if minor_space_vanishes(mu.n, i, p):
-                entries.append({"i": i, "kind": "zero_space", "p": p})
-                continue
-            w = necessity_witness(mu, i)
-            entries.append(
-                {
-                    "i": i,
-                    "kind": "necessity",
-                    "p": p,
-                    "witness": str(w),
-                    "witness_conjugate": str(w.conjugate()),
-                }
-            )
-        else:
-            w = redundancy_witness(mu, i)
-            entries.append(
-                {
-                    "i": i,
-                    "kind": "redundancy",
-                    "p": mu.critical_size(i),
-                    "witness": str(w),
-                    "witness_conjugate": str(w.conjugate()),
-                }
-            )
+        p = mu.critical_size(i)
+        necessary = admits_minor_space(mu, i)
+        if necessary and minor_space_vanishes(mu.n, i, p):
+            entries.append({"i": i, "kind": "zero_space", "p": p})
+            continue
+        kind, witness = ("necessity", necessity_witness) if necessary else ("redundancy", redundancy_witness)
+        w = witness(mu, i)
+        entries.append({"i": i, "kind": kind, "p": p, "witness": str(w), "witness_conjugate": str(w.conjugate())})
     report = {
         "report": "witness",
         "config": _config(args),
@@ -431,7 +405,7 @@ def cmd_verify(args) -> int:
     vanishing = []
     sharpness = []
     if run_vanishing:
-        for i, p in full_schedule(mu).layers():
+        for i, p in full_schedule(mu):
             all_zero = check_vanishing(mu, i, p) is None
             vanishing.append({"i": i, "p": p, "all_zero": all_zero, "expected": True})
         for i in range(1, len(mu) + 1):

@@ -277,12 +277,13 @@ def _layer_name(i: int, p: int, k: int | None = None) -> str:
 def scheduled_generators(mu: Partition, before_depth: int | None = None):
     """The minimal-schedule generator polynomials, with labels.
 
-    Returns (labels, polynomials): the bases of the schedule's `layers()`,
-    invariants first, of depth < before_depth (all when None).
+    Returns (labels, polynomials): the `layer_basis` of every layer (i, p)
+    of `minimal_schedule(mu)` with i < before_depth (all when None), in
+    schedule order, so the invariants t_p come first, one polynomial each.
     """
     labels: list[str] = []
     gens: list[Polynomial] = []
-    for i, p in minimal_schedule(mu).layers():
+    for i, p in minimal_schedule(mu):
         if before_depth is None or i < before_depth:
             for k, poly in enumerate(layer_basis(mu.n, i, p)):
                 labels.append(_layer_name(i, p, k))
@@ -343,7 +344,7 @@ def _depth_one_witness(mu: Partition) -> Partition:
     """Orbit whose closure separates the depth-1 space from the invariants:
     any Jordan type with a longer first block, the hook being the smallest."""
     n = mu.n
-    head = mu.parts[0] + 1
+    head = mu[0] + 1
     return Partition((head,) + (1,) * (n - head))
 
 
@@ -356,7 +357,7 @@ def _point_certificate_check(mu: Partition, i: int, p: int, witness: Partition) 
     The generators are numbered as in `scheduled_generators`: the
     `layer_tags` of every earlier layer, the invariants first."""
     n = mu.n
-    earlier = [(P, Q, q) for j, q in minimal_schedule(mu).layers() if j < i for P, Q in layer_tags(n, j)]
+    earlier = [(P, Q, q) for j, q in minimal_schedule(mu) if j < i for P, Q in layer_tags(n, j)]
     bad = [gi for gi, tag in enumerate(earlier) if prefixed_sum_at_jordan(witness, *tag) != 0]
     if bad:
         detail = {"witness": str(witness), "nonvanishing_generators": bad}
@@ -390,26 +391,30 @@ def verify_minimal(mu: Partition) -> dict:
     Scheduled minor spaces get vanishing-point non-membership certificates
     at the Jordan matrices of witness orbits; invariants are checked against
     the remaining generators by the graded oracle, whose verdict is the
-    check's `detail`; excluded depths get their `layer_basis`
-    representatives certified members (see `verify_redundant`).
+    check's `detail` and counts only once `GradedPiece.verify` accepts its
+    certificate (status "unverified" otherwise); excluded depths get their
+    `layer_basis` representatives certified members (see `verify_redundant`).
     Inconclusive outcomes are reported, never silenced.
 
     Returns the JSON-ready report: `partition`, `n`, one `checks` entry
     per claim (see `_check`), minor spaces first, then invariants, then
     excluded depths, and `ok` when every check holds.
     """
-    sched = minimal_schedule(mu)
+    layers = minimal_schedule(mu)
     checks: list[dict] = []
 
-    for d in sched.minor_spaces:
-        witness = necessity_witness(mu, d.i) if d.i >= 2 else _depth_one_witness(mu)
-        checks.append(_point_certificate_check(mu, d.i, d.p, witness))
+    for i, p in layers:
+        if i:
+            witness = necessity_witness(mu, i) if i >= 2 else _depth_one_witness(mu)
+            checks.append(_point_certificate_check(mu, i, p, witness))
 
     _, gens = scheduled_generators(mu)
     # the invariant layers come first, one generator each
-    for k, p in enumerate(sched.invariant_degrees):
-        verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
-        checks.append(_check("invariant", 0, p, NON_MEMBER, verdict["status"], verdict))
+    for k, p in enumerate(p for i, p in layers if not i):
+        f, others = gens[k], gens[:k] + gens[k + 1 :]
+        verdict = ideal_contains(f, others)
+        certified = GradedPiece(mu.n, others, p, diagonal="slice" in verdict).verify(f, verdict)
+        checks.append(_check("invariant", 0, p, NON_MEMBER, verdict["status"] if certified else "unverified", verdict))
 
     for i in excluded_depths(mu):
         report = verify_redundant(mu, i)

@@ -33,7 +33,7 @@ def _successors(mu: Partition) -> dict[int, int]:
     """r -> r+1 (1-based) for every r that is not the last index of its block."""
     succ = {}
     offset = 0
-    for part in mu.parts:
+    for part in mu:
         for k in range(offset + 1, offset + part):
             succ[k] = k + 1
         offset += part
@@ -125,7 +125,7 @@ def sample_orbit(mu: Partition, seed: int) -> OrbitSample:
     g = _matmul(low, _transpose(up_t))
     g_inv = _matmul(_transpose(_unit_lower_inverse(up_t)), _unit_lower_inverse(low))
     point = _matmul(_matmul(g, jordan_matrix(mu)), g_inv)
-    expected = list(itertools.accumulate(mu.conjugate().parts))
+    expected = list(itertools.accumulate(mu.conjugate()))
     if kernel_dimensions(point, len(expected)) != expected:
         raise ArithmeticError(f"conjugate of {mu} has the wrong kernel profile")
     return OrbitSample(tuple(map(tuple, point)), mu, seed)

@@ -18,17 +18,14 @@ generated by the earlier ones.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
-from .schur import layer_dimension
 
 
-class Partition:
+class Partition(tuple):
     """Non-increasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         parts = tuple(parts)
         if not parts:
             raise ValueError("partition must have at least one part")
@@ -36,52 +33,28 @@ class Partition:
             raise ValueError("parts must be positive integers")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise ValueError("parts must be non-increasing")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Partition is immutable")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, k):
-        return self.parts[k]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition({self.parts})"
+        return f"Partition({tuple(self)})"
 
     def __str__(self):
-        return ",".join(map(str, self.parts))
+        return ",".join(map(str, self))
 
     def conjugate(self) -> "Partition":
         """Column lengths of the Young diagram: entry i counts parts >= i."""
-        return Partition(
-            tuple(sum(1 for v in self.parts if v >= i) for i in range(1, self.parts[0] + 1))
-        )
+        return Partition(sum(1 for v in self if v >= i) for i in range(1, self[0] + 1))
 
     def critical_size(self, i: int) -> int:
         """Smallest minor size at which the depth-i sums vanish on the
-        closure: parts[0] + ... + parts[i-1] - i + 1."""
-        if not (1 <= i <= len(self.parts)):
-            raise ValueError(f"depth must lie in 1..{len(self.parts)}")
-        return sum(self.parts[:i]) - i + 1
+        closure: mu_1 + ... + mu_i - i + 1."""
+        if not (1 <= i <= len(self)):
+            raise ValueError(f"depth must lie in 1..{len(self)}")
+        return sum(self[:i]) - i + 1
 
 
 def parse_partition(text: str) -> Partition:
@@ -115,37 +88,11 @@ def partitions_of(n: int):
 
 
 # -- generator schedules ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorDescriptor:
-    """One minor-sum space of a schedule: depth i, size p (its degree) and
-    the dimension of its layer."""
-
-    i: int
-    p: int
-    dimension: int
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Generator schedule: invariant degrees plus minor-space descriptors."""
-
-    invariant_degrees: tuple[int, ...]
-    minor_spaces: tuple[GeneratorDescriptor, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.minor_spaces, self.minor_spaces[1:]):
-            if not (a.i < b.i and a.p <= b.p):
-                raise ValueError("minor spaces must increase in depth, sizes non-decreasing")
-
-    def minor_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((d.i, d.p) for d in self.minor_spaces)
-
-    def layers(self) -> tuple[tuple[int, int], ...]:
-        """Every generator layer (i, p) in generator order: the invariants
-        t_p as depth 0, then the minor spaces."""
-        return tuple((0, p) for p in self.invariant_degrees) + self.minor_pairs()
+#
+# A schedule is the tuple of its generator layers (i, p) in generator
+# order: the invariants t_p as depth 0, by increasing degree, then the
+# minor spaces by increasing depth i >= 1, at non-decreasing sizes p.
+# Layer (i, p) has dimension `schur.layer_dimension(n, i)`.
 
 
 def minor_space_vanishes(n: int, i: int, p: int) -> bool:
@@ -167,31 +114,31 @@ def admits_minor_space(mu: Partition, i: int) -> bool:
     return mu.critical_size(i) < prev + (prev - 1) // (i - 1)
 
 
-def _schedule(mu: Partition, n: int, minimal: bool) -> Schedule:
-    """Invariant degrees n-|mu|+1 .. n-|mu|+mu_1 and every depth-i space
-    that is nonzero in n x n matrices, at its critical size; when minimal,
-    only the depths the admission rule admits."""
+def _schedule(mu: Partition, n: int, minimal: bool) -> tuple[tuple[int, int], ...]:
+    """The layers (0, p) for the invariant degrees p = n-|mu|+1 .. n-|mu|+mu_1,
+    then (i, critical_size(i)) for every depth i whose space is nonzero in
+    n x n matrices; when minimal, only the depths the admission rule admits."""
     shift = n - mu.n
-    spaces = []
+    layers = [(0, p) for p in range(shift + 1, shift + mu[0] + 1)]
     for i in range(1, len(mu) + 1):
         p = mu.critical_size(i)
         if not minor_space_vanishes(n, i, p) and (not minimal or admits_minor_space(mu, i)):
-            spaces.append(GeneratorDescriptor(i, p, layer_dimension(n, i)))
-    return Schedule(tuple(range(shift + 1, shift + mu.parts[0] + 1)), tuple(spaces))
+            layers.append((i, p))
+    return tuple(layers)
 
 
-def full_schedule(mu: Partition) -> Schedule:
-    """The generating (generally redundant) schedule: every nonzero
-    depth-i space at its critical size, plus all invariants up to mu_1."""
+def full_schedule(mu: Partition) -> tuple[tuple[int, int], ...]:
+    """The generating (generally redundant) schedule: all invariants up to
+    mu_1, then every nonzero depth-i space at its critical size."""
     return _schedule(mu, mu.n, False)
 
 
-def minimal_schedule(mu: Partition) -> Schedule:
+def minimal_schedule(mu: Partition) -> tuple[tuple[int, int], ...]:
     """The minimal generator schedule."""
     return _schedule(mu, mu.n, True)
 
 
-def rank_variety_schedule(mu: Partition, n: int) -> Schedule:
+def rank_variety_schedule(mu: Partition, n: int) -> tuple[tuple[int, int], ...]:
     """Schedule for the rank variety of mu (a partition of l <= n) inside
     n x n matrices: the minimal schedule read at ambient size n, with
     invariants of degrees n-l+1 .. n-l+mu_1 and the literal unshifted
@@ -230,10 +177,10 @@ def necessity_witness(mu: Partition, i: int) -> Partition:
     e = (c - 1) // (i - 1)
     f = c - 1 - e * (i - 1)
     parts = [e + 2] * f + [e + 1] * (i - 1 - f)
-    parts.append(mu.parts[i - 1] + 1)
-    parts.extend(mu.parts[i : s - 1])
-    if mu.parts[s - 1] - 1 > 0:
-        parts.append(mu.parts[s - 1] - 1)
+    parts.append(mu[i - 1] + 1)
+    parts.extend(mu[i : s - 1])
+    if mu[s - 1] - 1 > 0:
+        parts.append(mu[s - 1] - 1)
     witness = Partition(parts)
     # postconditions guaranteed by the admission rule; checked defensively
     if witness.n != mu.n:
@@ -255,10 +202,10 @@ def redundancy_witness(mu: Partition, i: int) -> Partition:
         raise ValueError(f"depth must lie in 2..{s}")
     if admits_minor_space(mu, i):
         raise ValueError(f"depth {i} is in the minimal schedule of {mu}")
-    head = list(mu.parts[: i - 1])
+    head = list(mu[: i - 1])
     rest = mu.n - sum(head)
-    r, f = divmod(rest, mu.parts[i - 1])
-    parts = head + [mu.parts[i - 1]] * r
+    r, f = divmod(rest, mu[i - 1])
+    parts = head + [mu[i - 1]] * r
     if f:
         parts.append(f)
     return Partition(parts)

@@ -128,15 +128,15 @@ def test_schedule_descriptors_sweep(capsys):
                 assert report["rank_variety"] is rank_variety
                 assert ("note" in report) is rank_variety
                 lists = [report["minimal"]]
-                # layers(): the invariants as depth 0, then the minor spaces
+                # the layers: the invariants as depth 0, then the minor spaces
                 invariants = [(0, p) for p in report["invariants"]]
-                layers = rank_variety_schedule(mu, ambient).layers()
+                layers = rank_variety_schedule(mu, ambient)
                 assert list(layers) == invariants + [(d["i"], d["p"]) for d in report["minimal"]]
                 if rank_variety:
                     assert report["full"] is None
                 else:
                     lists.append(report["full"])
-                    layers = full_schedule(mu).layers()
+                    layers = full_schedule(mu)
                     assert list(layers) == invariants + [(d["i"], d["p"]) for d in report["full"]]
                 for d in (d for descriptors in lists for d in descriptors):
                     assert d["degree"] == d["p"], (mu, ambient, d)
@@ -162,9 +162,9 @@ def test_generators_family_counts_match_schedule(tmp_path, monkeypatch, capsys):
             code, out, _ = run(capsys, "generators", "--partition", str(mu), "--json")
             assert code == 0
             report = validate_report(out)
-            sched = minimal_schedule(mu)
-            want = [(f"t_{p}", 0, p, 1) for p in sched.invariant_degrees] + [
-                (f"U_({d.i},{d.p})", d.i, d.p, d.dimension) for d in sched.minor_spaces
+            layers = minimal_schedule(mu)
+            want = [(f"t_{p}", 0, p, 1) for i, p in layers if not i] + [
+                (f"U_({i},{p})", i, p, layer_dimension(n, i)) for i, p in layers if i
             ]
             got = [(f["family"], f["i"], f["p"], f["count"]) for f in report["families"]]
             assert got == want, mu
@@ -372,12 +372,13 @@ def test_verify_single_suites(capsys):
 
 def test_verify_failing_check_exits_one(monkeypatch, capsys):
     # an oracle that wrongly answers `member` fails the invariant checks; its
-    # empty combination certifies nothing, yet the report it gives is typed
+    # empty combination certifies nothing, so the status is `unverified`, yet
+    # the report it gives is typed
     monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: {"status": "member", "combination": []})
     code, out, _ = run(capsys, "verify", "minimal", "--partition", "3")
     assert code == 1
     lines = out.splitlines()
-    assert "  minimality invariant (i=0, p=1): FAIL (member)" in lines
+    assert "  minimality invariant (i=0, p=1): FAIL (unverified)" in lines
     assert lines[-1] == "result: FAIL"
     code, out, _ = run(capsys, "verify", "minimal", "--partition", "3", "--json")
     assert code == 1

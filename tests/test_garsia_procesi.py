@@ -100,7 +100,7 @@ def test_recursion_conventions():
         assert garsia_procesi((1,) * n) == q_factorial  # mu = (n)
         assert garsia_procesi((n,)) == (1,)  # mu = (1^n)
         for mu in partitions_of(n):
-            lam = conjugate(mu.parts)
+            lam = conjugate(mu)
             assert sum(garsia_procesi(lam)) == factorial(n) // prod(factorial(x) for x in lam)
 
 
@@ -108,7 +108,7 @@ def check_partition(mu: Partition, capped: bool = False):
     n = mu.n
     _, gens = scheduled_generators(mu)
     rho = restricted(n, gens)
-    want = garsia_procesi(conjugate(mu.parts))
+    want = garsia_procesi(conjugate(mu))
     top = len(want)  # the first degree where the quotient is zero
     if capped:
         top = min(top, max(g.degree for g in gens) + 1)

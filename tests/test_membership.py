@@ -124,6 +124,27 @@ def test_verdict_without_certificate_is_rejected(monkeypatch):
     assert not report["ok"]
 
 
+def _without_certificate(verdict):
+    return {"status": verdict["status"]}
+
+
+def _first_coefficient_zeroed(verdict):
+    first, *rest = verdict["functional"]
+    return {**verdict, "functional": [{**first, "coeff": "0"}, *rest]}
+
+
+@pytest.mark.parametrize("forge", [_without_certificate, _first_coefficient_zeroed])
+def test_invariant_check_rests_on_its_certificate(monkeypatch, forge):
+    # a `non_member` status alone does not pass: each invariant verdict of
+    # (3) is re-checked, and a missing or altered functional fails
+    assert verify_minimal(Partition((3,)))["ok"]
+    honest = membership.ideal_contains
+    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: forge(honest(f, gens)))
+    report = verify_minimal(Partition((3,)))
+    assert [(c["kind"], c["status"], c["ok"]) for c in report["checks"]] == [("invariant", "unverified", False)] * 3
+    assert not report["ok"]
+
+
 def test_rel1_members_and_t1_non_member_reverify():
     gens = minor_sum_basis(3, 1, 2)
     piece = GradedPiece(3, gens, 3)
@@ -324,7 +345,7 @@ def test_invariants_at_n7_are_certified_on_the_slice():
     checks = 0
     for mu in partitions_of(n):
         _, gens = scheduled_generators(mu)
-        for k, p in enumerate(minimal_schedule(mu).invariant_degrees):
+        for k, p in enumerate(p for i, p in minimal_schedule(mu) if not i):
             verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
             assert verdict["status"] == NON_MEMBER and verdict["slice"] == "diagonal", (mu, p)
             checks += 1

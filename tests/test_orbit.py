@@ -51,7 +51,7 @@ def reference_kernel_profile(m, upto: int) -> list[int]:
 
 def expected_profile(mu: Partition) -> list[int]:
     conj = mu.conjugate()
-    return [sum(conj.parts[:k]) for k in range(1, len(conj) + 1)]
+    return [sum(conj[:k]) for k in range(1, len(conj) + 1)]
 
 
 def test_jordan_matrix_examples():
@@ -91,7 +91,7 @@ def test_sample_orbit_points():
                 assert (s.jordan_type, s.seed) == (mu, seed)
                 assert all(type(x) is int for row in s.matrix for x in row)
                 assert reference_kernel_profile(s.matrix, len(want)) == want
-                if n >= 3 and mu.parts[0] > 1:
+                if n >= 3 and mu[0] > 1:
                     assert s.matrix != jordan_matrix(mu), (mu, seed)
 
 
