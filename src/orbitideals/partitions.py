@@ -139,10 +139,10 @@ def minimal_schedule(mu: Partition) -> tuple[tuple[int, int], ...]:
 
 
 def rank_variety_schedule(mu: Partition, n: int) -> tuple[tuple[int, int], ...]:
-    """Schedule for the rank variety of mu (a partition of l <= n) inside
-    n x n matrices: the minimal schedule read at ambient size n, with
-    invariants of degrees n-l+1 .. n-l+mu_1 and the literal unshifted
-    critical sizes (flagged as literal in CLI output)."""
+    """The layers (i, p) scheduled for the rank variety of mu (a partition
+    of l <= n) inside n x n matrices: the minimal schedule read at ambient
+    size n, with invariants of degrees n-l+1 .. n-l+mu_1 and the literal
+    unshifted critical sizes (flagged as literal in CLI output)."""
     if mu.n > n:
         raise ValueError(f"partition total {mu.n} exceeds matrix size {n}")
     return _schedule(mu, n, True)

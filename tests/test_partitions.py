@@ -249,7 +249,7 @@ def test_redundancy_witness_defining_equation():
 
 def test_rank_variety_schedule():
     mu = Partition((2, 1))
-    assert rank_variety_schedule(mu, 4)[:2] == ((0, 2), (0, 3))
+    assert tuple(p for i, p in rank_variety_schedule(mu, 4) if i == 0) == (2, 3)
 
     assert rank_variety_schedule(Partition((1,)), 3) == ((0, 3), (1, 1))
 
