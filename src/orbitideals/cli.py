@@ -1,8 +1,12 @@
 """Command-line front end: schedules, generator export, dimension tables,
 witnesses, membership oracles, and the full verification pipeline.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error (or an
-unwritable generators file), 3 resource refusal.  Reports are
+Each `cmd_*` returns its report's fields, its text lines and whether
+every check held; it raises ValueError on a usage error and _Refused on a
+resource refusal.  `main` alone prints a report and picks every exit code:
+0 success, 1 verification mismatch, 2 usage error (or an unwritable
+generators file), 3 resource refusal.  `generators` prints its own stdout,
+which is the text of the file it writes with "path" added.  Reports are
 byte-identical across runs with the same configuration; the JSON shape is
 described by report_schema.json shipped with the package.
 """
@@ -37,13 +41,23 @@ WORKDIR_ENV = "ORBIT_IDEALS_WORKDIR"
 BLOCK = 1 << 16
 
 
-def _config(args) -> dict:
-    """Reproducibility envelope echoed in every report: the output format
-    and whichever of partition, n and max_n the command takes."""
+class _Refused(Exception):
+    """A resource refusal: n exceeds --max-n (exit code 3)."""
+
+
+def _check_max_n(n: int, args, detail: str = ""):
+    if n > args.max_n:
+        raise _Refused(f"n = {n} exceeds --max-n = {args.max_n}{detail}")
+
+
+def _report(args, fields: dict) -> dict:
+    """A command's fields in the envelope every report carries: the command
+    as `report`, and as `config` the reproducibility echo of the output
+    format and whichever of partition, n and max_n the command takes."""
     flags = vars(args)
     config = {k: flags[k] for k in ("partition", "n", "max_n") if k in flags}
     config["output"] = "json" if args.json else "text"
-    return config
+    return {"report": args.command, "config": config, **fields}
 
 
 class _Encoder(json.JSONEncoder):
@@ -53,7 +67,9 @@ class _Encoder(json.JSONEncoder):
     list is built with one str.join and strings go through the C
     encode_basestring_ascii.  For one encode call the text of every key,
     and of every all-int list (monomial triples, Jordan point rows) at its
-    depth, is cached.  Any other type goes to the stdlib encoder."""
+    depth, is cached.  Any other type raises TypeError, since no report
+    holds one: a float, a str or int subclass, or a non-str key (a key's
+    type is checked when its text is first cached)."""
 
     def encode(self, o):
         keys: dict[str, str] = {}
@@ -99,20 +115,11 @@ class _Encoder(json.JSONEncoder):
                 return "false"
             raise TypeError(t)
 
-        try:
-            return enc(o, 0)
-        except TypeError:
-            # floats, subclasses, non-str keys: the stdlib encodes them or
-            # raises its own error
-            return super().encode(o)
+        return enc(o, 0)
 
 
 def _encode(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True, cls=_Encoder)
-
-
-def _emit(report: dict, text_lines: list[str], as_json: bool):
-    print(_encode(report) if as_json else "\n".join(text_lines))
 
 
 def _write_blocks(stream, text: str, stop: int):
@@ -122,19 +129,6 @@ def _write_blocks(stream, text: str, stop: int):
     partition of 6 by about 4 MB (5 %)."""
     for k in range(0, stop, BLOCK):
         stream.write(text[k : min(k + BLOCK, stop)])
-
-
-def _refused(n: int, args, detail: str = "") -> bool:
-    """Print the resource refusal when n exceeds --max-n (exit code 3)."""
-    if n <= args.max_n:
-        return False
-    print(f"refusing: n = {n} exceeds --max-n = {args.max_n}{detail}", file=sys.stderr)
-    return True
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _descriptor_dicts(layers, n: int):
@@ -166,7 +160,7 @@ def render_diagram(mu: Partition, arrows) -> list[str]:
     return lines
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args):
     mu = parse_partition(args.partition)
     ambient = args.n if args.n is not None else mu.n
     minimal = rank_variety_schedule(mu, ambient)  # raises when ambient < |mu|
@@ -174,9 +168,7 @@ def cmd_schedule(args) -> int:
     full = None if rank_variety else full_schedule(mu)
     arrows = [i for i, _ in minimal if i]
     diagram = render_diagram(mu, arrows)
-    report = {
-        "report": "schedule",
-        "config": _config(args),
+    fields = {
         "partition": str(mu),
         "n": ambient,
         "conjugate": str(mu.conjugate()),
@@ -188,7 +180,7 @@ def cmd_schedule(args) -> int:
         "diagram": diagram,
     }
     if rank_variety:
-        report["note"] = (
+        fields["note"] = (
             "rank-variety schedule uses the literal unshifted critical sizes; "
             "see the dims and verify commands for the square case only"
         )
@@ -198,26 +190,24 @@ def cmd_schedule(args) -> int:
     ]
     if rank_variety:
         lines.append("rank variety inside larger matrices; literal critical sizes")
-    inv = report["invariants"]
+    inv = fields["invariants"]
     lines.append(f"invariants: t_p for p = {inv[0]}..{inv[-1]}")
     if full is not None:
         lines.append("full minor spaces:    " + " ".join(f"({i},{p})" for i, p in full if i))
     lines.append("minimal minor spaces: " + " ".join(f"({i},{p})" for i, p in minimal if i))
-    lines.append("dimensions:           " + " ".join(str(d["dimension"]) for d in report["minimal"]))
+    lines.append("dimensions:           " + " ".join(str(d["dimension"]) for d in fields["minimal"]))
     lines.append(f"arrows under columns: {', '.join(map(str, arrows)) if arrows else '(none)'}")
     lines.append("")
     lines.extend(diagram)
-    _emit(report, lines, args.json)
-    return 0
+    return fields, lines, True
 
 
-def cmd_generators(args) -> int:
+def cmd_generators(args):
     mu = parse_partition(args.partition)
     n = mu.n
     layers = minimal_schedule(mu)
     count = sum(layer_dimension(n, i) for i, _ in layers)
-    if _refused(n, args, f" (about {count} generators of degree up to {mu.critical_size(len(mu))})"):
-        return 3
+    _check_max_n(n, args, f" (about {count} generators of degree up to {mu.critical_size(len(mu))})")
     families = []
     for i, p in layers:
         basis = layer_basis(n, i, p)
@@ -231,13 +221,7 @@ def cmd_generators(args) -> int:
                 "polynomials": [poly.to_records() for poly in basis],
             }
         )
-    report = {
-        "report": "generators",
-        "config": _config(args),
-        "partition": str(mu),
-        "n": n,
-        "families": families,
-    }
+    report = _report(args, {"partition": str(mu), "n": n, "families": families})
     workdir = os.environ.get(WORKDIR_ENV, ".")
     filename = os.path.join(workdir, f"generators_{str(mu).replace(',', '_')}.json")
     text = _encode(report)
@@ -246,7 +230,7 @@ def cmd_generators(args) -> int:
             _write_blocks(fh, text, len(text))
             fh.write("\n")
     except OSError as exc:
-        return _usage_error(str(exc))
+        raise ValueError(str(exc)) from exc
     if args.json:
         # stdout is the file's report with "path" added; sorted, that key
         # falls just before "report", the last key of the top-level object
@@ -257,40 +241,31 @@ def cmd_generators(args) -> int:
         print(f"wrote {filename}")
         for fam in families:
             print(f"  {fam['family']}: {fam['count']} polynomial(s) of degree {fam['degree']}")
-    return 0
+    return None, None, True
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args):
     n = args.n
-    if _refused(n, args):
-        return 3
+    _check_max_n(n, args)
     dims = list(dimension_table(n))
     ranks = [
         {"i": i, "p": p, "rank": family_rank(n, i, p)}
         for p in range(1, n + 1)
         for i in range(0, n + 1)
     ]
-    report = {
-        "report": "dims",
-        "config": _config(args),
-        "n": n,
-        "dims": dims,
-        "ranks": ranks,
-    }
     lines = [f"layer dimensions for n = {n}: {dims}"]
     for entry in ranks:
         lines.append(f"  rank(i={entry['i']}, p={entry['p']}) = {entry['rank']}")
-    _emit(report, lines, args.json)
-    return 0
+    return {"n": n, "dims": dims, "ranks": ranks}, lines, True
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args):
     mu = parse_partition(args.partition)
     depths = [args.i] if args.i is not None else list(range(2, len(mu) + 1))
     entries = []
     for i in depths:
         if not (2 <= i <= len(mu)):
-            return _usage_error(f"depth {i} out of range 2..{len(mu)}")
+            raise ValueError(f"depth {i} out of range 2..{len(mu)}")
         p = mu.critical_size(i)
         necessary = admits_minor_space(mu, i)
         if necessary and minor_space_vanishes(mu.n, i, p):
@@ -299,13 +274,6 @@ def cmd_witness(args) -> int:
         kind, witness = ("necessity", necessity_witness) if necessary else ("redundancy", redundancy_witness)
         w = witness(mu, i)
         entries.append({"i": i, "kind": kind, "p": p, "witness": str(w), "witness_conjugate": str(w.conjugate())})
-    report = {
-        "report": "witness",
-        "config": _config(args),
-        "partition": str(mu),
-        "n": mu.n,
-        "witnesses": entries,
-    }
     lines = [f"witness partitions for {mu}:"]
     for e in entries:
         if e["kind"] == "zero_space":
@@ -315,24 +283,22 @@ def cmd_witness(args) -> int:
                 f"  depth {e['i']} ({e['kind']}, p={e['p']}): {e['witness']}"
                 f"  [conjugate {e['witness_conjugate']}]"
             )
-    _emit(report, lines, args.json)
-    return 0
+    return {"partition": str(mu), "n": mu.n, "witnesses": entries}, lines, True
 
 
-def cmd_membership(args) -> int:
+def cmd_membership(args):
     # argparse keeps --rel1 and --partition apart; --n goes with --rel1 only
     # and --i with --partition only
     if args.rel1:
         if args.i is not None:
-            return _usage_error("--i does not apply to --rel1")
+            raise ValueError("--i does not apply to --rel1")
         if args.n is None:
-            return _usage_error("--rel1 requires --n")
+            raise ValueError("--rel1 requires --n")
         if args.n < 2:
             # no (i, p) pair with 1 <= i <= p < n: the sweep would be vacuous
-            return _usage_error("--rel1 needs --n of at least 2")
+            raise ValueError("--rel1 needs --n of at least 2")
         n = args.n
-        if _refused(n, args):
-            return 3
+        _check_max_n(n, args)
 
         def span(i, q):
             """A basis of V(i,q): the layers of depth 0..i at size q."""
@@ -346,59 +312,41 @@ def cmd_membership(args) -> int:
                 all_member = all(piece.contains(c)["status"] == MEMBER for c in span(i, p + 1))
                 ok = ok and all_member
                 results.append({"i": i, "p": p, "all_member": all_member})
-        report = {
-            "report": "membership",
-            "config": _config(args),
-            "kind": "rel1",
-            "n": n,
-            "results": results,
-            "ok": ok,
-        }
         lines = [f"size-monotone membership at n = {n}:"]
         for r in results:
             lines.append(f"  V({r['i']},{r['p']+1}) in <V({r['i']},{r['p']})>: {'yes' if r['all_member'] else 'NO'}")
         lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-        _emit(report, lines, args.json)
-        return 0 if ok else 1
+        return {"kind": "rel1", "n": n, "results": results, "ok": ok}, lines, ok
 
     if args.n is not None:
-        return _usage_error("--n applies only with --rel1")
+        raise ValueError("--n applies only with --rel1")
     if args.partition is None:
-        return _usage_error("membership requires --partition (or --rel1 with --n)")
+        raise ValueError("membership requires --partition (or --rel1 with --n)")
     mu = parse_partition(args.partition)
-    if _refused(mu.n, args):
-        return 3
+    _check_max_n(mu.n, args)
     if args.i is None:
-        return _usage_error("membership requires --i (or --rel1)")
+        raise ValueError("membership requires --i (or --rel1)")
     i = args.i
     if not (1 <= i <= len(mu)):
-        return _usage_error(f"depth {i} out of range 1..{len(mu)}")
+        raise ValueError(f"depth {i} out of range 1..{len(mu)}")
     if i in excluded_depths(mu):
         rep = verify_redundant(mu, i)
-        report = {
-            "report": "membership",
-            "config": _config(args),
-            "kind": "redundancy",
-            **rep,
-        }
         lines = [
             f"excluded depth {i} of {mu} (size {rep['p']}):",
             f"  zero space: {rep['zero_space']}",
             f"  candidates: {rep['candidates']}, all member: {rep['all_member']}",
         ]
-        _emit(report, lines, args.json)
-        return 0 if rep["all_member"] else 1
+        return {"kind": "redundancy", **rep}, lines, rep["all_member"]
     p = mu.critical_size(i)
     if minor_space_vanishes(mu.n, i, p):
-        return _usage_error(f"depth {i} of {mu} has a zero space at size {p}; there is nothing to certify")
-    return _usage_error(f"depth {i} is scheduled for {mu}; use `verify` for minimality certificates")
+        raise ValueError(f"depth {i} of {mu} has a zero space at size {p}; there is nothing to certify")
+    raise ValueError(f"depth {i} is scheduled for {mu}; use `verify` for minimality certificates")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     mu = parse_partition(args.partition)
     n = mu.n
-    if _refused(n, args, "; raise --max-n to force (vanishing and oracle cost grows quickly)"):
-        return 3
+    _check_max_n(n, args, "; raise --max-n to force (vanishing and oracle cost grows quickly)")
     suite = args.suite
     run_vanishing = suite in ("all", "vanishing")
     run_minimal = suite in ("all", "minimal")
@@ -419,9 +367,7 @@ def cmd_verify(args) -> int:
     minimality = verify_minimal(mu) if run_minimal else None
     ok = all(e["all_zero"] == e["expected"] for e in vanishing + sharpness)
     ok = ok and (minimality is None or minimality["ok"])
-    report = {
-        "report": "verify",
-        "config": _config(args),
+    fields = {
         "suite": suite,
         "partition": str(mu),
         "n": n,
@@ -440,8 +386,7 @@ def cmd_verify(args) -> int:
             status = "PASS" if c["ok"] else f"FAIL ({c['status']})"
             lines.append(f"  minimality {c['kind']} (i={c['i']}, p={c['p']}): {status}")
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _emit(report, lines, args.json)
-    return 0 if ok else 1
+    return fields, lines, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,9 +464,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        fields, lines, ok = args.func(args)
+    except _Refused as exc:
+        print(f"refusing: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if fields is not None:  # generators printed its own report
+        print(_encode(_report(args, fields)) if args.json else "\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from .partitions import (
 from .polyring import (
     Polynomial,
     key_header,
+    mon_from_record,
     mon_weight,
     monomials_of_degree,
     monomials_of_weight,
@@ -208,7 +209,9 @@ class GradedPiece:
         """Re-check a verdict of `contains`, or its `json.loads`, by
         independent exact arithmetic.  Only `member` and `non_member` carry a
         certificate, and one that cannot be read fails: a missing key, a `gen`
-        outside range(len(gens)), a variable outside 1..n, a bad coefficient.
+        outside range(len(gens)), a monomial not in the form reports print
+        (`mon_from_record`), a bad coefficient, a functional that names one
+        monomial twice.
 
         A functional is checked against every row of each block its support
         meets, rebuilt by `Polynomial.times_monomial` and not from the packed
@@ -217,7 +220,7 @@ class GradedPiece:
         be supported on diagonal monomials and is checked against the slice
         rows, which suffices by the restriction argument of the module
         docstring."""
-        monomial = lambda t: tuple(((r, c), e) for r, c, e in t["monomial"])
+        monomial = lambda t: mon_from_record(self.n, t["monomial"])
         try:
             if verdict["status"] == MEMBER:
                 acc: dict = {}
@@ -225,14 +228,14 @@ class GradedPiece:
                     if t["gen"] not in range(len(self.gens)):
                         return False
                     coeff, mon = Fraction(t["coeff"]), monomial(t)
-                    # the product is a Polynomial: ValueError on a bad variable
                     for m2, c2 in self.gens[t["gen"]].times_monomial(mon).terms.items():
                         acc[m2] = acc.get(m2, 0) + coeff * c2
                 return {m: c for m, c in acc.items() if c} == f.terms
             if verdict["status"] != NON_MEMBER:
                 return False
             lam = {monomial(t): Fraction(t["coeff"]) for t in verdict["functional"]}
-            Polynomial(self.n, dict.fromkeys(lam, 1))  # ValueError on a bad variable
+            if len(lam) != len(verdict["functional"]):
+                return False
         except (ArithmeticError, LookupError, TypeError, ValueError):
             return False
         if self.diagonal and not all(map(_is_diagonal, lam)):

@@ -38,6 +38,20 @@ def mon_mul(a: Mon, b: Mon) -> Mon:
     return tuple(sorted(exps.items()))
 
 
+def mon_from_record(n: int, triples) -> Mon:
+    """The monomial of a record's [row, col, exponent] triples, read only in
+    the form `Polynomial.to_records` prints: every variable in 1..n, the
+    variables strictly increasing in (row, col), every exponent at least 1.
+    The empty record is the unit monomial.  ValueError otherwise."""
+    mon = tuple(((r, c), e) for r, c, e in triples)
+    prev = (0, 0)
+    for v, e in mon:
+        if not (1 <= v[0] <= n and 1 <= v[1] <= n and e >= 1 and v > prev):
+            raise ValueError(f"monomial {triples} is not in printed form for n={n}")
+        prev = v
+    return mon
+
+
 def term_key(n: int, mon: Mon) -> int:
     """Graded-lex sort key packed into one int: the degree header, then the
     exponent digits `pack(n, mon, d)`.  A higher degree both raises the
@@ -328,7 +342,7 @@ class Polynomial:
     def from_records(cls, n: int, records) -> "Polynomial":
         terms: dict[Mon, int] = {}
         for rec in records:
-            mon = tuple(sorted(((r, c), e) for r, c, e in rec["monomial"]))
+            mon = mon_from_record(n, rec["monomial"])
             terms[mon] = terms.get(mon, 0) + int(rec["coeff"])
         return cls(n, terms)
 

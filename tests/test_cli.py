@@ -387,6 +387,28 @@ def test_verify_failing_check_exits_one(monkeypatch, capsys):
     assert [c["ok"] for c in report["minimality"]["checks"]] == [False, False, False]
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["membership", "--rel1", "--n", "1"], 2, "error: --rel1 needs --n of at least 2\n"),
+        (["schedule", "--partition", "2,1", "--bogus"], 2, "error: unrecognized arguments: --bogus\n"),
+        (["generators", "--partition", "2,1"], 2, "error: [Errno 2] No such file or directory: "),
+        (["verify", "--partition", "3,2,1"], 3, "refusing: n = 6 exceeds --max-n = 5; raise --max-n"),
+        (["generators", "--partition", "3,2,1", "--max-n", "4"], 3, "refusing: n = 6 exceeds --max-n = 4 (about "),
+        (["dims", "--n", "6"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
+        (["membership", "--partition", "3,2,1", "--i", "2"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
+        (["membership", "--rel1", "--n", "6"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
+    ],
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_error_exits_print_nothing_to_stdout(tmp_path, monkeypatch, capsys, argv, code, message, flags):
+    # the generators workdir does not exist, so that file cannot be written
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path / "missing"))
+    got, out, err = run(capsys, *argv, *flags)
+    assert (got, out) == (code, ""), argv
+    assert message in err, err
+
+
 def test_verify_refusal(capsys):
     code, _, err = run(capsys, "verify", "--partition", "3,2,1", "--max-n", "5")
     assert code == 3
@@ -467,18 +489,28 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 @example([[1, 2], [True, 2], {"a": [1, 2], "b": [[1, 2]]}, (1, 2)])
 @example({"point": ((0, 1), (0, 0)), "rows": [[0, 1], [0, 0]], "": {}, "z": ()})
+@example([10**30, True])
 def test_encode_matches_stdlib_bytes(tree):
     assert cli._encode(tree) == stdlib_bytes(tree)
 
 
-def test_encode_falls_back_to_stdlib():
-    # types the fast path leaves out still give the stdlib's bytes or error
+def test_encode_rejects_what_no_report_holds():
+    # floats, str subclasses and non-str keys raise instead of falling back
+    # to the stdlib encoder
     class Key(str):
         pass
 
-    for o in ([1.5, float("nan"), -float("inf")], {2: "b", 1: "a"}, {Key("k"): 1}, [1, 2.0], [10**30, True]):
-        assert cli._encode(o) == stdlib_bytes(o), o
-    for bad in ({"a": object()}, {1: 1, "b": 2}):
+    for bad in (
+        [1.5],
+        [1, 2.0],
+        {"a": float("nan")},
+        [-float("inf")],
+        [Key("k")],
+        {Key("k"): 1},
+        {2: "b", 1: "a"},
+        {1: 1, "b": 2},
+        {"a": object()},
+    ):
         with pytest.raises(TypeError):
             cli._encode(bad)
 

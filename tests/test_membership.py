@@ -490,6 +490,28 @@ def test_unreadable_or_altered_certificates_are_rejected():
     assert piece.verify(f, member) and slice_piece.verify(t3, non_member)
 
 
+def test_functional_not_in_printed_form_is_rejected():
+    # an entry whose monomial no row can match used to be ignored, and a
+    # monomial listed twice kept its last coefficient; perfbench's checker
+    # reads such a certificate differently, so verify refuses it
+    _, gens = scheduled_generators(Partition((3,)))
+    t3, others = gens[2], gens[:2]
+    piece = GradedPiece(3, others, 3, diagonal=True)
+    honest = ideal_contains(t3, others)
+    assert honest["slice"] == "diagonal" and piece.verify(t3, honest)
+    functional = honest["functional"]
+    forged = [
+        functional + [{"monomial": [[2, 2, 1], [1, 1, 2]], "coeff": "7"}],  # triples out of order
+        functional + [{"monomial": [[1, 1, 1], [1, 1, 1], [2, 2, 1]], "coeff": "7"}],  # a repeated variable
+        [{**functional[0], "coeff": "99"}] + functional,  # one monomial named twice
+    ]
+    for f in forged:
+        assert piece.verify(t3, {**honest, "functional": f}) is False, f
+    # the out-of-order entry with its triples sorted is read, and fails
+    in_order = functional + [{"monomial": [[1, 1, 2], [2, 2, 1]], "coeff": "7"}]
+    assert piece.verify(t3, {**honest, "functional": in_order}) is False
+
+
 # -- torus-weight blocks against the whole graded piece -----------------------
 
 

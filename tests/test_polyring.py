@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from orbitideals.polyring import (
     Polynomial,
     key_header,
+    mon_from_record,
     mon_mul,
     mon_weight,
     monomials_of_degree,
@@ -125,6 +126,23 @@ def test_serialization_round_trip(f):
     # canonical descending order
     keys = [term_key(3, tuple(((r, c), e) for r, c, e in rec["monomial"])) for rec in records]
     assert keys == sorted(keys, reverse=True)
+
+
+def test_mon_from_record_reads_only_the_printed_form():
+    assert mon_from_record(3, []) == ()
+    assert mon_from_record(3, [[1, 1, 2], [2, 1, 1], [2, 3, 1]]) == (((1, 1), 2), ((2, 1), 1), ((2, 3), 1))
+    for bad in (
+        [[2, 2, 1], [1, 1, 2]],  # out of order
+        [[1, 1, 1], [1, 1, 1]],  # a repeated variable
+        [[1, 1, 0]],  # exponent below 1
+        [[0, 1, 1]],
+        [[1, 4, 1]],
+        [[1, 1]],
+    ):
+        with pytest.raises(ValueError):
+            mon_from_record(3, bad)
+        with pytest.raises(ValueError):
+            Polynomial.from_records(3, [{"monomial": bad, "coeff": "1"}])
 
 
 def test_monomials_of_degree_counts():

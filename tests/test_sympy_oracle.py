@@ -1,14 +1,17 @@
 """Differential tests against sympy, an independent computer algebra system:
-determinants against `minor`, and Groebner-basis membership against
-`ideal_contains`.  sympy is a test extra; without it the module is skipped."""
+determinants against `minor`, Groebner-basis membership against
+`ideal_contains`, and a characteristic-polynomial coefficient against the
+value of `prefixed_minor_sum` at an integer matrix.  sympy is a test extra;
+without it the module is skipped."""
 
 import itertools
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitideals.membership import MEMBER, NON_MEMBER, ideal_contains, scheduled_generators
-from orbitideals.minors import minor
+from orbitideals.minors import minor, prefixed_minor_sum
 from orbitideals.partitions import partitions_of
 from orbitideals.schur import layer_basis
 
@@ -54,3 +57,35 @@ def test_membership_matches_sympy_groebner():
                 assert ideal_contains(c, gens)["status"] == expected, (mu, c)
                 cases += 1
     assert cases == (57 + 345 if LARGE else 57)
+
+
+@st.composite
+def prefixed_sum_cases(draw):
+    """An integer n x n matrix with entries in -3..3 (n <= 5), row and column
+    prefixes of one length i, unsorted and possibly repeating, and a size
+    p >= 1 with i <= p <= n."""
+    n = draw(st.integers(1, 5))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    i = draw(st.integers(0, n))
+    P, Q = (draw(st.lists(st.integers(1, n), min_size=i, max_size=i)) for _ in "PQ")
+    return n, A, P, Q, draw(st.integers(max(i, 1), n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefixed_sum_cases())
+def test_prefixed_minor_sum_is_a_characteristic_coefficient(case):
+    """ROADMAP item 3's identity: with F the indices outside P and Q in
+    increasing order, the sum of (P,J|Q,J) over J of size p - i, at A, is
+    the coefficient of t^(|F| - (p - i)) in det(A[P+F, Q+F] + t*I_F)."""
+    n, A, P, Q, p = case
+    i = len(P)
+    F = [v for v in range(1, n + 1) if v not in P and v not in Q]
+    t = sympy.Symbol("t")
+    # rows P then F, columns Q then F, and t on the F x F diagonal
+    M = sympy.Matrix(
+        [[A[r - 1][c - 1] + (t if a == b >= i else 0) for b, c in enumerate(Q + F)] for a, r in enumerate(P + F)]
+    )
+    det = sympy.Poly(M.det(method="berkowitz"), t)
+    power = len(F) - (p - i)
+    expected = det.coeff_monomial(t**power) if power >= 0 else 0
+    assert prefixed_minor_sum(n, P, Q, p).evaluate(A) == expected, case
