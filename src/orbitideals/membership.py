@@ -49,6 +49,7 @@ from .polyring import (
     Polynomial,
     key_header,
     mon_from_record,
+    mon_to_record,
     mon_weight,
     monomials_of_degree,
     monomials_of_weight,
@@ -194,7 +195,7 @@ class GradedPiece:
             lam = free[lead].annihilator(lead)
             functional = []
             for k, c in sorted(((self._sign * col, c) for col, c in lam.items()), reverse=True):
-                functional.append({"monomial": [[*v, e] for v, e in unpack(self.n, k, self.degree)], "coeff": str(c)})
+                functional.append({"monomial": mon_to_record(unpack(self.n, k, self.degree)), "coeff": str(c)})
             verdict = {"status": NON_MEMBER, "functional": functional}
             if self.diagonal:
                 verdict["slice"] = "diagonal"
@@ -202,7 +203,7 @@ class GradedPiece:
         if self.diagonal:
             return None
         combination.sort(key=lambda t: (t[0], term_key(self.n, t[1])))
-        combination = [{"gen": gi, "monomial": [[*v, e] for v, e in m], "coeff": str(c)} for gi, m, c in combination]
+        combination = [{"gen": gi, "monomial": mon_to_record(m), "coeff": str(c)} for gi, m, c in combination]
         return {"status": MEMBER, "combination": combination}
 
     def verify(self, f: Polynomial, verdict: dict) -> bool:

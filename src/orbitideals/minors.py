@@ -7,10 +7,13 @@ The building blocks for the defining equations of nilpotent orbit closures:
 * ``principal_minor_sum(n, p)`` -- sum of all principal p x p minors; up to
   a global sign this is a coefficient of the characteristic polynomial, and
   it is invariant under conjugation.
-* ``prefixed_minor_sum(n, P, Q, p)`` -- sum over all J of the p x p minors
-  whose rows are (P, J) and columns are (Q, J), for fixed index prefixes
-  P, Q of equal length.  The span of these, over all prefixes of length i,
-  is the degree-p generator space with prefix depth i.
+* ``signed_minors(n, P, Q, p)`` -- the terms (R, C, sign) of the prefixed
+  sum over J of (P,J|Q,J), its one spelling: the expansion below, the Jordan
+  count of `orbit` and the sign vectors of `schur.layer_tags` read them.
+* ``prefix_pairs(n, i)`` -- the sorted length-i prefix pairs, lex in (P, Q).
+* ``prefixed_minor_sum(n, P, Q, p)`` -- that sum expanded, for prefixes P, Q
+  of equal length and a size p in 1..n.  The span of these, over all
+  prefixes of length i, is the degree-p generator space with prefix depth i.
 * ``minor_sum_basis(n, i, p)`` -- a maximal independent subfamily, selected
   greedily in lexicographic prefix order by exact rank updates.
 """
@@ -89,42 +92,48 @@ def minor(n: int, rows: tuple, cols: tuple) -> Polynomial:
     return Polynomial(n, states[(1 << r) - 1])
 
 
+def prefix_pairs(n: int, i: int):
+    """The pairs (P, Q) of sorted length-i index tuples in 1..n, in lex
+    (P, Q) order."""
+    return itertools.product(itertools.combinations(range(1, n + 1), i), repeat=2)
+
+
+def signed_minors(n: int, P: tuple, Q: tuple, size: int, free=None):
+    """The terms (rows, cols, sign) of the sum over J of (P, J | Q, J): J runs
+    over the (size - len(P))-subsets of `free` (default 1..n) outside P and
+    Q, and rows, cols are (P, J), (Q, J) sorted, with the product of the two
+    sorting signs.  A prefix with a repeated entry gives no term."""
+    if len(set(P)) < len(P) or len(set(Q)) < len(Q):
+        return
+    used = set(P) | set(Q)
+    free = [v for v in (range(1, n + 1) if free is None else free) if v not in used]
+    for J in itertools.combinations(free, size - len(P)):
+        rows, rsign = sort_with_sign(P + J)
+        cols, csign = sort_with_sign(Q + J)
+        yield rows, cols, rsign * csign
+
+
 @lru_cache(maxsize=None)
 def principal_minor_sum(n: int, p: int) -> Polynomial:
     """Sum of all principal p x p minors of the generic n x n matrix."""
-    if not (1 <= p <= n):
-        raise ValueError(f"minor size must lie in 1..{n}")
     return prefixed_minor_sum(n, (), (), p)
 
 
 def prefixed_minor_sum(n: int, row_prefix, col_prefix, size: int) -> Polynomial:
-    """Sum over J of the minors (row_prefix, J | col_prefix, J).
-
-    J runs over all index sets of size `size - len(prefix)` disjoint from
-    both prefixes (terms meeting a prefix repeat a row or column and vanish).
-    Each minor is sign-normalized by sorting rows and columns and applying
-    the permutation signs.  The empty sum and duplicated prefix entries both
-    give the zero polynomial.
-    """
+    """Sum over J of the minors (row_prefix, J | col_prefix, J), the terms of
+    `signed_minors`, for a size in 1..n.  The empty sum and duplicated
+    prefix entries both give the zero polynomial."""
     P = tuple(row_prefix)
     Q = tuple(col_prefix)
     if len(P) != len(Q):
         raise ValueError("row and column prefixes must have equal length")
-    i = len(P)
-    if not (0 <= i <= size <= n):
-        raise ValueError(f"need 0 <= prefix length <= size <= {n}")
+    if not (1 <= size <= n and len(P) <= size):
+        raise ValueError(f"need prefix length <= size and 1 <= size <= {n}")
     for v in P + Q:
         if not (1 <= v <= n):
             raise ValueError(f"prefix entries must lie in 1..{n}")
-    if len(set(P)) < i or len(set(Q)) < i:
-        return Polynomial.zero(n)
-    used = set(P) | set(Q)
-    free = [v for v in range(1, n + 1) if v not in used]
     terms: dict = {}
-    for J in itertools.combinations(free, size - i):
-        rows, rsign = sort_with_sign(P + J)
-        cols, csign = sort_with_sign(Q + J)
-        sign = rsign * csign
+    for rows, cols, sign in signed_minors(n, P, Q, size):
         for mon, c in minor(n, rows, cols).terms.items():
             terms[mon] = terms.get(mon, 0) + sign * c
     return Polynomial(n, terms)  # drops the cancelled terms
@@ -143,11 +152,8 @@ def minor_sum_family(n: int, prefix_len: int, size: int):
         raise ValueError(f"minor size must lie in 1..{n}")
     if prefix_len < 0:
         raise ValueError("prefix length must be non-negative")
-    i = min(prefix_len, size)
-    subsets = list(itertools.combinations(range(1, n + 1), i))
-    for P in subsets:
-        for Q in subsets:
-            yield (P, Q), prefixed_minor_sum(n, P, Q, size)
+    for P, Q in prefix_pairs(n, min(prefix_len, size)):
+        yield (P, Q), prefixed_minor_sum(n, P, Q, size)
 
 
 @lru_cache(maxsize=None)

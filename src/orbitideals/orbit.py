@@ -13,6 +13,8 @@ The values at J_mu need no polynomial: J_mu has a 1 at (r, r+1) for every r
 that is not the last index of its block, so every square submatrix is a
 partial permutation matrix, and because the successor map r -> r+1 is
 increasing, the minor (R|C) is 1 when it maps R onto C and 0 otherwise.
+So a prefixed sum at J_mu is a signed count of the terms (R, C, sign) that
+`minors.signed_minors` gives for it, the same terms its expansion sums.
 
 `sample_orbit` gives integer points g J_mu g^-1 away from the Jordan form.
 No verdict rests on them: they are the generic-point reference that the
@@ -24,13 +26,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .minors import sort_with_sign
+from .minors import prefix_pairs, signed_minors
 from .partitions import Partition
 
 
+@lru_cache(maxsize=None)
 def _successors(mu: Partition) -> dict[int, int]:
-    """r -> r+1 (1-based) for every r that is not the last index of its block."""
+    """r -> r+1 (1-based, r increasing) for each r not last in its block; shared."""
     succ = {}
     offset = 0
     for part in mu:
@@ -133,22 +137,14 @@ def sample_orbit(mu: Partition, seed: int) -> OrbitSample:
 
 def prefixed_sum_at_jordan(mu: Partition, row_prefix, col_prefix, size: int) -> int:
     """Value of `prefixed_minor_sum(n, row_prefix, col_prefix, size)` at J_mu:
-    the signed count of the J for which the successor map sends the rows
-    (P, J) onto the columns (Q, J)."""
-    P, Q = tuple(row_prefix), tuple(col_prefix)
+    the signed count of the terms of `signed_minors` whose rows the
+    successor map sends onto their columns."""
     succ = _successors(mu)
-    used = set(P) | set(Q)
     # An index of J is both a row and a column, so it needs a successor and
     # a predecessor in its block; any other J gives only zero minors.
-    inner = succ.keys() & set(succ.values())
-    free = [v for v in range(1, mu.n + 1) if v not in used and v in inner]
-    total = 0
-    for J in itertools.combinations(free, size - len(P)):
-        rows, rsign = sort_with_sign(P + J)
-        cols, csign = sort_with_sign(Q + J)
-        if tuple(succ.get(r) for r in rows) == cols:
-            total += rsign * csign
-    return total
+    inner = [r for r in succ if r - 1 in succ]
+    terms = signed_minors(mu.n, tuple(row_prefix), tuple(col_prefix), size, inner)
+    return sum(sign for rows, cols, sign in terms if tuple(map(succ.get, rows)) == cols)
 
 
 def check_vanishing(mu: Partition, i: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -156,16 +152,11 @@ def check_vanishing(mu: Partition, i: int, p: int) -> tuple[tuple[int, ...], tup
     of mu by evaluating its sorted spanning pairs (P, Q) at J_mu.
 
     Returns None when the space vanishes, and otherwise the witness: the
-    first pair (P, Q), in P-major lexicographic order, whose sum is nonzero
-    at J_mu.  For depths in the nonzero range the space vanishes iff
+    first pair (P, Q), in `prefix_pairs` order, whose sum is nonzero at
+    J_mu.  For depths in the nonzero range the space vanishes iff
     p >= mu.critical_size(i).
     """
     n = mu.n
-    if not (0 <= i <= min(p, n - p)):
-        raise ValueError(f"depth must lie in 0..min({p},{n - p})")
-    subsets = list(itertools.combinations(range(1, n + 1), i))
-    for P in subsets:
-        for Q in subsets:
-            if prefixed_sum_at_jordan(mu, P, Q, p):
-                return P, Q
-    return None
+    if not (1 <= p <= n and 0 <= i <= min(p, n - p)):
+        raise ValueError(f"need a size p in 1..{n} and a depth in 0..min(p, {n} - p)")
+    return next((pair for pair in prefix_pairs(n, i) if prefixed_sum_at_jordan(mu, *pair, p)), None)

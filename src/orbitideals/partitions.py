@@ -29,7 +29,7 @@ class Partition(tuple):
         parts = tuple(parts)
         if not parts:
             raise ValueError("partition must have at least one part")
-        if any(not isinstance(v, int) or v < 1 for v in parts):
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in parts):
             raise ValueError("parts must be positive integers")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise ValueError("parts must be non-increasing")

@@ -7,11 +7,12 @@ homogeneous; addition enforces this.  Coefficients are plain Python ints,
 so all arithmetic is exact.  Evaluation at a rational matrix produces an
 exact Fraction (or int when the matrix has integer entries).
 
-A monomial is stored as a tuple of ((row, col), exponent) pairs sorted by
-(row, col) with all exponents positive.  The canonical term order is graded
-lexicographic on the exponent vector read in (row, col) order; serialization
-lists terms in descending canonical order.  Conjugation by a diagonal
-matrix gives every monomial a torus weight in Z^n (`mon_weight`).
+A monomial is a tuple of ((row, col), exponent) pairs strictly increasing
+in (row, col) with all exponents positive, the one form the constructor
+accepts (`checked_degree`).  The canonical term order is graded lex on the
+exponent vector in (row, col) order; serialization lists terms in
+descending canonical order.  Diagonal conjugation gives every monomial a
+torus weight in Z^n (`mon_weight`).
 """
 
 from __future__ import annotations
@@ -38,17 +39,30 @@ def mon_mul(a: Mon, b: Mon) -> Mon:
     return tuple(sorted(exps.items()))
 
 
-def mon_from_record(n: int, triples) -> Mon:
-    """The monomial of a record's [row, col, exponent] triples, read only in
-    the form `Polynomial.to_records` prints: every variable in 1..n, the
-    variables strictly increasing in (row, col), every exponent at least 1.
-    The empty record is the unit monomial.  ValueError otherwise."""
-    mon = tuple(((r, c), e) for r, c, e in triples)
+def checked_degree(n: int, mon: Mon) -> int:
+    """The degree of a monomial in canonical form for n: every variable in
+    1..n, the variables strictly increasing in (row, col), every exponent at
+    least 1; the unit monomial is empty.  ValueError for any other form."""
+    d = 0
     prev = (0, 0)
     for v, e in mon:
         if not (1 <= v[0] <= n and 1 <= v[1] <= n and e >= 1 and v > prev):
-            raise ValueError(f"monomial {triples} is not in printed form for n={n}")
+            raise ValueError(f"monomial {mon} is not in canonical form for n={n}")
         prev = v
+        d += e
+    return d
+
+
+def mon_to_record(mon: Mon) -> list[list[int]]:
+    """The [row, col, exponent] triples of a record's monomial."""
+    return [[r, c, e] for (r, c), e in mon]
+
+
+def mon_from_record(n: int, triples) -> Mon:
+    """The monomial of a record's triples, read only in the form
+    `mon_to_record` prints (`checked_degree`)."""
+    mon = tuple(((r, c), e) for r, c, e in triples)
+    checked_degree(n, mon)
     return mon
 
 
@@ -189,14 +203,11 @@ class Polynomial:
                     continue
                 if not isinstance(coeff, int):
                     raise TypeError("coefficients must be exact integers")
-                d = mon_degree(mon)
+                d = checked_degree(n, mon)
                 if degree is None:
                     degree = d
                 elif d != degree:
                     raise ValueError("terms of different total degree")
-                for (r, c), e in mon:
-                    if not (1 <= r <= n and 1 <= c <= n and e >= 1):
-                        raise ValueError(f"bad variable x[{r},{c}]^{e} for n={n}")
                 cleaned[mon] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", cleaned)
@@ -333,10 +344,7 @@ class Polynomial:
     def to_records(self) -> list[dict]:
         """JSON-friendly terms: coeff as decimal string, monomial as
         [row, col, exponent] triples sorted by (row, col); descending order."""
-        return [
-            {"coeff": str(c), "monomial": [[r, col, e] for (r, col), e in mon]}
-            for mon, c in self.sorted_terms()
-        ]
+        return [{"coeff": str(c), "monomial": mon_to_record(mon)} for mon, c in self.sorted_terms()]
 
     @classmethod
     def from_records(cls, n: int, records) -> "Polynomial":

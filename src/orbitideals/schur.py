@@ -20,7 +20,9 @@ V(i,i) onto V(i,p), and since dim V(i,p) = C(n,i)^2 = dim V(i,i) it is an
 isomorphism that sends each family onto nonzero multiples of the same
 family at size p.  Linear dependencies among prefixed sums therefore do
 not depend on p, and `layer_tags` makes the greedy choice at size i, where
-a depth-i' sum is a vector of signs over the C(n,i)^2 minors (R|C).
+a depth-i' sum is a vector of signs over the C(n,i)^2 minors (R|C): the
+signs of its terms, read from `minors.signed_minors`, the one spelling of
+a prefixed sum that its expansion and its Jordan count read too.
 
 That argument rests on the closed form dim V(i,p) = C(n,i)^2, which is the
 trust boundary of the selection: `family_rank` checks it by expansion and
@@ -38,7 +40,7 @@ from functools import lru_cache
 from math import comb
 
 from .linalg import TriangularBasis
-from .minors import prefixed_minor_sum, sort_with_sign
+from .minors import prefix_pairs, prefixed_minor_sum, signed_minors
 from .polyring import Polynomial
 
 
@@ -64,38 +66,27 @@ def layer_tags(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     representatives, for every minor size p with i <= min(p, n-p).
 
     Computed at size i with no polynomial: the depth-(i-1) sum of (P', Q')
-    is the vector sum over k outside P' and Q' of sign * (sort(P'+k) |
-    sort(Q'+k)) over the minors (R|C), each column keyed by the lex index of
-    (R, C).  After all of them are inserted, the unit vectors (P|Q) that
-    raise the rank, in lex (P, Q) order, are kept (see the module docstring
+    is the vector of the signs of its terms `signed_minors(n, P', Q', i)`
+    over the minors (R|C), each column keyed by the lex index of (R, C).
+    After all of them are inserted, the unit vectors (P|Q) that raise the
+    rank, in `prefix_pairs` order, are kept (see the module docstring
     for why the choice holds at every such p).  Depth 0 has an empty
     depth -1 family and keeps its one tag ((), ()), the invariant t_p.
     Past depth n // 2 the result is empty.
     """
     if not (0 <= i <= n):
         raise ValueError(f"depth must lie in 0..{n}")
-    subsets = list(itertools.combinations(range(1, n + 1), i))
-    index = {s: k for k, s in enumerate(subsets)}
-    width = len(subsets)
+    index = {s: k for k, s in enumerate(itertools.combinations(range(1, n + 1), i))}
+    width = len(index)
     basis = TriangularBasis()
-    prefixes = list(itertools.combinations(range(1, n + 1), i - 1)) if i else []
-    for P in prefixes:
-        for Q in prefixes:
-            vec = {}
-            for k in range(1, n + 1):
-                if k in P or k in Q:
-                    continue
-                rows, rsign = sort_with_sign(P + (k,))
-                cols, csign = sort_with_sign(Q + (k,))
-                vec[index[rows] * width + index[cols]] = rsign * csign
-            basis.insert(vec)
-    kept = []
-    for P in subsets:
-        for Q in subsets:
-            # once the basis spans all C(n,i)^2 minors, nothing raises the rank
-            if basis.rank < width * width and basis.insert({index[P] * width + index[Q]: 1}):
-                kept.append((P, Q))
-    return tuple(kept)
+    for P, Q in prefix_pairs(n, i - 1) if i else ():
+        basis.insert({index[rows] * width + index[cols]: sign for rows, cols, sign in signed_minors(n, P, Q, i)})
+    # once the basis spans all C(n,i)^2 minors, nothing raises the rank
+    return tuple(
+        (P, Q)
+        for P, Q in prefix_pairs(n, i)
+        if basis.rank < width * width and basis.insert({index[P] * width + index[Q]: 1})
+    )
 
 
 @lru_cache(maxsize=None)

@@ -179,7 +179,8 @@ def test_generators_json_bytes(tmp_path, monkeypatch, capsys):
             code, out, _ = run(capsys, "generators", "--partition", str(mu), "--json")
             assert code == 0
             path = str(tmp_path / f"generators_{str(mu).replace(',', '_')}.json")
-            text = open(path).read()
+            with open(path) as fh:
+                text = fh.read()
             report = json.loads(text)
             assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
             assert out == json.dumps({**report, "path": path}, indent=2, sort_keys=True) + "\n"

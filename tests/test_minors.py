@@ -9,8 +9,10 @@ from orbitideals.minors import (
     minor,
     minor_sum_basis,
     minor_sum_family,
+    prefix_pairs,
     prefixed_minor_sum,
     principal_minor_sum,
+    signed_minors,
     sort_with_sign,
 )
 from orbitideals.polyring import Polynomial
@@ -139,6 +141,20 @@ def test_prefixed_minor_sum_validation():
         prefixed_minor_sum(3, (1, 2), (1, 3), 1)  # prefix longer than size
     with pytest.raises(ValueError):
         prefixed_minor_sum(3, (4,), (1,), 2)
+    for size in (0, 4):  # a size lies in 1..n; size 0 used to crash inside `minor`
+        with pytest.raises(ValueError):
+            prefixed_minor_sum(3, (), (), size)
+
+
+def test_prefix_pairs_and_signed_minors():
+    assert list(prefix_pairs(2, 1)) == [((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,))]
+    assert list(prefix_pairs(3, 0)) == [((), ())]
+    assert len(list(prefix_pairs(4, 2))) == comb(4, 2) ** 2
+    # (2,J | 1,J) for J in {3}, {4}: sorting (2,3) is even, (1,3) is even
+    assert list(signed_minors(4, (2,), (1,), 2)) == [((2, 3), (1, 3), 1), ((2, 4), (1, 4), 1)]
+    assert list(signed_minors(4, (3,), (1,), 2)) == [((2, 3), (1, 2), -1), ((3, 4), (1, 4), 1)]
+    assert list(signed_minors(4, (3,), (1,), 2, free=(4,))) == [((3, 4), (1, 4), 1)]
+    assert list(signed_minors(4, (1, 1), (2, 3), 3)) == []  # a repeated prefix entry gives no term
 
 
 def test_basis_cardinalities():

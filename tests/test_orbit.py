@@ -147,6 +147,10 @@ def test_check_vanishing_examples():
 def test_check_vanishing_validates_depth():
     with pytest.raises(ValueError):
         check_vanishing(Partition((2, 1)), 2, 2)  # 2 > min(2,1)
+    with pytest.raises(ValueError):
+        check_vanishing(Partition((2, 1)), 0, 0)  # no size-0 invariant
+    with pytest.raises(ValueError):
+        check_vanishing(Partition((2, 1)), 0, 4)
 
 
 def test_invariants_vanish_on_all_small_orbits():
@@ -173,9 +177,11 @@ def test_jordan_evaluator_matches_expansion():
 def test_jordan_evaluator_permuted_and_repeated_prefixes():
     mu = Partition((3, 2))
     j = jordan_matrix(mu)
-    for P, Q in [((2, 1), (3, 2)), ((1, 4), (2, 5)), ((4, 1), (2, 5)), ((1, 1), (2, 3))]:
+    for P, Q in [((2, 1), (3, 2)), ((1, 4), (2, 5)), ((4, 1), (2, 5)), ((1, 1), (2, 3)), ((1, 2), (3, 3))]:
         for p in range(2, 6):
             assert prefixed_sum_at_jordan(mu, P, Q, p) == prefixed_minor_sum(5, P, Q, p).evaluate(j)
+            if len(set(P)) < 2 or len(set(Q)) < 2:  # a repeated prefix entry: zero both ways
+                assert prefixed_minor_sum(5, P, Q, p).is_zero() and prefixed_sum_at_jordan(mu, P, Q, p) == 0
 
 
 def test_sharpness_witnesses_reevaluate():

@@ -43,6 +43,9 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    for bad in ((True, True), (2, True), (2.0,)):  # bool is an int subclass, but not a part
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            Partition(bad)
     mu = Partition((3, 1))
     assert mu.n == 4
     assert len(mu) == 2

@@ -67,6 +67,21 @@ def test_construction_and_validation():
         Polynomial(2, {(((1, 1), 1),): Fraction(1, 2)})
 
 
+def test_constructor_takes_only_canonical_monomials():
+    # the rule `mon_from_record` reads records by: sorted, distinct variables in range, exponents >= 1
+    for bad in (
+        (((2, 2), 1), ((1, 1), 1)),  # out of order: would differ from the sorted one and print twice
+        (((1, 1), 1), ((1, 1), 1)),  # a repeated variable: would differ from x[1,1]^2
+        (((1, 1), 0),),
+        (((0, 1), 1),),
+    ):
+        with pytest.raises(ValueError):
+            Polynomial(2, {bad: 1})
+    f = Polynomial(2, {(((1, 1), 1), ((2, 2), 1)): 1, (((1, 2), 1), ((2, 1), 1)): -1})
+    assert Polynomial.from_records(2, f.to_records()) == f
+    assert str(f) == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
+
+
 def test_add_examples():
     f = x(2, 1, 1) * x(2, 2, 2)
     assert f + Polynomial.zero(2) == f

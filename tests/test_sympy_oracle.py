@@ -63,12 +63,12 @@ def test_membership_matches_sympy_groebner():
 def prefixed_sum_cases(draw):
     """An integer n x n matrix with entries in -3..3 (n <= 5), row and column
     prefixes of one length i, unsorted and possibly repeating, and a size
-    p >= 1 with i <= p <= n."""
+    p with i <= p <= n; p = 0 is drawn too, where no size is valid."""
     n = draw(st.integers(1, 5))
     A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
     i = draw(st.integers(0, n))
     P, Q = (draw(st.lists(st.integers(1, n), min_size=i, max_size=i)) for _ in "PQ")
-    return n, A, P, Q, draw(st.integers(max(i, 1), n))
+    return n, A, P, Q, draw(st.integers(i, n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,6 +78,10 @@ def test_prefixed_minor_sum_is_a_characteristic_coefficient(case):
     increasing order, the sum of (P,J|Q,J) over J of size p - i, at A, is
     the coefficient of t^(|F| - (p - i)) in det(A[P+F, Q+F] + t*I_F)."""
     n, A, P, Q, p = case
+    if p == 0:
+        with pytest.raises(ValueError):
+            prefixed_minor_sum(n, P, Q, p)
+        return
     i = len(P)
     F = [v for v in range(1, n + 1) if v not in P and v not in Q]
     t = sympy.Symbol("t")
