@@ -300,16 +300,23 @@ def cmd_membership(args):
         n = args.n
         _check_max_n(n, args)
 
-        def span(i, q):
-            """A basis of V(i,q): the layers of depth 0..i at size q."""
-            return [g for j in range(i + 1) for g in layer_basis(n, j, q)]
-
+        # one piece per size p, grown by the layers of size p depth by
+        # depth; the ideal of V(i,p) only grows with i, so a candidate shown
+        # a member at a smaller depth stays one and is not queried again
         results = []
         ok = True
         for p in range(1, n):
-            for i in range(1, p + 1):
-                piece = GradedPiece(n, span(i, p), p + 1)
-                all_member = all(piece.contains(c)["status"] == MEMBER for c in span(i, p + 1))
+            piece = GradedPiece(n, (), p + 1)
+            candidates = []  # the layers of depth 0..i at size p+1; the first `shown` are members
+            shown = 0
+            for i in range(p + 1):
+                piece.add(layer_basis(n, i, p))
+                candidates += layer_basis(n, i, p + 1)
+                if not i:
+                    continue
+                while shown < len(candidates) and piece.contains(candidates[shown])["status"] == MEMBER:
+                    shown += 1
+                all_member = shown == len(candidates)
                 ok = ok and all_member
                 results.append({"i": i, "p": p, "all_member": all_member})
         lines = [f"size-monotone membership at n = {n}:"]

@@ -6,6 +6,15 @@ caller picks ints in its pivot order (graded pieces use `term_key`).
 Basis rows are kept monic at the pivot, so reduction strictly decreases
 the leading column and terminates.
 
+A new row is reduced only at its lead: elimination stops at the first
+column that is not a pivot, and the columns below it are stored as they
+stand, pivots among them.  `reduce` still clears every pivot of a query,
+so no output changes.  Whether a row is independent depends only on the
+span.  The pivot set, the fully reduced residual and the annihilator are
+each unique given the row space and the column order.  And a member's
+combination over the linearly independent inserted rows is unique, so
+`provenance_of` gives the same certificate whatever the stored rows are.
+
 Coefficients are exact rationals held as Python ints wherever their value is
 integral and as Fractions only otherwise; mixed int/Fraction arithmetic is
 exact, so one code path serves both.  Stored rows and provenance keep to
@@ -41,11 +50,13 @@ class TriangularBasis:
 
     # -- core reduction --------------------------------------------------------
 
-    def reduce(self, vec):
-        """Fully reduce `vec` against the basis.
+    def reduce(self, vec, lead_only=False):
+        """Reduce `vec` against the basis, fully unless `lead_only`.
 
         Returns (residual, combo): residual is a dict free of pivot columns,
         combo maps pivot -> coefficient with vec = residual + sum(combo * row).
+        With `lead_only`, elimination stops at the first column that is not
+        a pivot, and the residual is that column with everything below it.
         """
         work = {col: v for col, v in vec.items() if v}
         # a min-heap of -col pops the largest column; the pair keeps the
@@ -62,6 +73,9 @@ class TriangularBasis:
             row = self.rows.get(col)
             if row is None:
                 residual[col] = c
+                if lead_only:
+                    residual.update(work)
+                    break
                 continue
             combo[col] = c
             # row is monic at col; subtracting c*row cancels the popped entry
@@ -82,8 +96,11 @@ class TriangularBasis:
         return not residual
 
     def insert(self, vec, tag=None) -> bool:
-        """Add `vec` to the span.  Returns True if it was independent."""
-        residual, combo = self.reduce(vec)
+        """Add `vec` to the span.  Returns True if it was independent.
+
+        The stored row is `vec` reduced only until its largest column is not
+        a pivot, divided by that column's coefficient (module docstring)."""
+        residual, combo = self.reduce(vec, lead_only=True)
         if not residual:
             return False
         pivot = max(residual)

@@ -110,38 +110,62 @@ class GradedPiece:
     def __init__(self, n: int, gens, degree: int, diagonal: bool = False):
         self.n = n
         self.degree = degree
-        self.gens = tuple(gens)
+        self.gens: tuple = ()
         self.diagonal = diagonal
-        for g in self.gens:
-            if g.n != n:
-                raise ValueError("generator over wrong matrix size")
-        kept = [(gi, g) for gi, g in enumerate(self.gens) if not g.is_zero() and g.degree <= degree]
-        if diagonal:
-            kept = [(gi, r) for gi, g in kept if not (r := _restrict(g)).is_zero()]
-        self._sign = sign = -1 if diagonal else 1
-        head = key_header(n, degree)
-        packed = lambda g: {sign * (head + pack(n, t, degree)): c for t, c in g.terms.items()}
-        self._row_gens = [(gi, g, _torus_weight(g), packed(g)) for gi, g in kept]
-        self._graded = all(w is not None for _, _, w, _ in self._row_gens)
+        self._sign = -1 if diagonal else 1
+        # (gen index, row generator, torus weight, packed columns)
+        self._row_gens: list[tuple] = []
+        self._graded = True
         # multipliers are drawn from these variables (None: all of them)
         self._variables = [(r, r) for r in range(1, n + 1)] if diagonal else None
         # weight -> exact row-reduced basis of its rows, with provenance
-        # outside the slice
+        # outside the slice, and the number of row generators it holds
         self._blocks: dict[tuple, TriangularBasis] = {}
+        self._held: dict[tuple, int] = {}
         # totals over the blocks built so far; a fresh piece has built none
         self.rows: list[tuple] = []  # (gen index, multiplier) of every row
         self.nonzeros = 0
         self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> [(monomial, offset)]
+        self.add(gens)
+
+    def add(self, gens) -> None:
+        """Append generators.  A block built before takes their rows the
+        next time it is used, after its own and in the order of a piece
+        built with all the generators at once, so its kept rows and its
+        certificates are those of that piece.  A generator that is not a
+        torus weight vector merges every block into one, so the blocks
+        built so far are dropped."""
+        gens = tuple(gens)
+        for g in gens:
+            if g.n != self.n:
+                raise ValueError("generator over wrong matrix size")
+        start = len(self.gens)
+        self.gens += gens
+        head = key_header(self.n, self.degree)
+        for gi, g in enumerate(gens, start):
+            if g.is_zero() or g.degree > self.degree:
+                continue
+            if self.diagonal and (g := _restrict(g)).is_zero():
+                continue
+            w = _torus_weight(g)
+            if w is None and self._graded:
+                self._graded = False
+                self._blocks.clear()
+                self._held.clear()
+                self.rows, self.nonzeros = [], 0
+            packed = {self._sign * (head + pack(self.n, t, self.degree)): c for t, c in g.terms.items()}
+            self._row_gens.append((gi, g, w, packed))
 
     def _weight(self, mon) -> tuple:
         """The block a monomial belongs to."""
         return mon_weight(self.n, mon) if self._graded else ()
 
-    def _block_multipliers(self, w: tuple):
+    def _block_multipliers(self, w: tuple, start: int = 0):
         """(gen index, row generator, its columns, [(multiplier, column
         offset)]) of the rows of weight w, in the order of the whole piece:
-        by generator, then descending multiplier."""
-        for gi, g, gw, packed in self._row_gens:
+        by generator, then descending multiplier; from the `start`-th row
+        generator on."""
+        for gi, g, gw, packed in self._row_gens[start:]:
             k = self.degree - g.degree
             mw = tuple(a - b for a, b in zip(w, gw)) if self._graded else ()
             mons = self._multipliers.get((k, mw))
@@ -157,12 +181,13 @@ class GradedPiece:
         basis = self._blocks.get(w)
         if basis is None:
             basis = self._blocks[w] = TriangularBasis(track=not self.diagonal)
-            for gi, _, packed, mons in self._block_multipliers(w):
-                for m, off in mons:
-                    tag = (gi, m)
-                    basis.insert({k + off: c for k, c in packed.items()}, tag)
-                    self.rows.append(tag)
-                self.nonzeros += len(packed) * len(mons)
+        for gi, _, packed, mons in self._block_multipliers(w, self._held.get(w, 0)):
+            for m, off in mons:
+                tag = (gi, m)
+                basis.insert({k + off: c for k, c in packed.items()}, tag)
+                self.rows.append(tag)
+            self.nonzeros += len(packed) * len(mons)
+        self._held[w] = len(self._row_gens)
         return basis
 
     def contains(self, f: Polynomial) -> dict | None:

@@ -28,10 +28,8 @@ from .polyring import Polynomial, term_key
 
 
 def sort_with_sign(seq):
-    """Sort a sequence, returning (sorted tuple, permutation sign).
-
-    The sign is 0 when the sequence has a repeated entry.
-    """
+    """Sort a sequence of distinct entries, returning (sorted tuple,
+    permutation sign).  A repeated entry raises ValueError."""
     items = list(seq)
     inversions = 0
     for a in range(len(items)):
@@ -39,7 +37,7 @@ def sort_with_sign(seq):
             if items[a] > items[b]:
                 inversions += 1
             elif items[a] == items[b]:
-                return tuple(sorted(items)), 0
+                raise ValueError(f"repeated entry {items[a]!r}")
     return tuple(sorted(items)), (-1 if inversions % 2 else 1)
 
 

@@ -199,10 +199,11 @@ class Polynomial:
         degree = None
         if terms:
             for mon, coeff in dict(terms).items():
+                # exactly int: a bool would print as "True"
+                if type(coeff) is not int:
+                    raise TypeError("coefficients must be exact integers")
                 if coeff == 0:
                     continue
-                if not isinstance(coeff, int):
-                    raise TypeError("coefficients must be exact integers")
                 d = checked_degree(n, mon)
                 if degree is None:
                     degree = d

@@ -190,7 +190,7 @@ def test_criterion_7_size_monotonicity():
 
 def test_criterion_7_size_monotonicity_through_the_cli(capsys):
     # V(i,p+1) in <V(i,p)> for every 1 <= i <= p < n, spanned by the layers;
-    # n = 6 takes about 12 s on a 2-core host
+    # n = 6 takes about 4 s on a 2-core host (CPython 3.11.7)
     t0 = time.time()
     n = 6 if LARGE else 4
     code, out = _run_cli(capsys, "membership", "--rel1", "--n", str(n), "--max-n", "6", "--json")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import types
 from importlib import resources
 
@@ -18,7 +19,9 @@ from orbitideals.partitions import (
     partitions_of,
     rank_variety_schedule,
 )
-from orbitideals.schur import layer_dimension
+from orbitideals.schur import layer_basis, layer_dimension
+
+LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
 
 def run(capsys, *argv):
@@ -301,6 +304,27 @@ def test_membership_rel1(capsys):
     for broken in ({k: v for k, v in report.items() if k != "ok"}, {**report, "results": [{"i": 1}]}):
         with pytest.raises(jsonschema.ValidationError):
             validate_report(json.dumps(broken))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4] + ([5] if LARGE else []))
+def test_membership_rel1_matches_a_fresh_piece_per_step(capsys, n):
+    # the sweep grows one piece per size and skips candidates already shown
+    # members; the oracle builds <V(i,p)> afresh for every (i, p) and asks
+    # for every layer representative of V(i,p+1)
+    def span(i, q):
+        return [g for j in range(i + 1) for g in layer_basis(n, j, q)]
+
+    results = []
+    for p in range(1, n):
+        for i in range(1, p + 1):
+            piece = membership.GradedPiece(n, span(i, p), p + 1)
+            all_member = all(piece.contains(c)["status"] == membership.MEMBER for c in span(i, p + 1))
+            results.append({"i": i, "p": p, "all_member": all_member})
+    oracle = {"kind": "rel1", "n": n, "results": results, "ok": all(r["all_member"] for r in results)}
+    code, out, _ = run(capsys, "membership", "--rel1", "--n", str(n), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert {k: report[k] for k in oracle} == oracle
 
 
 def test_membership_rel1_needs_two_rows(capsys):

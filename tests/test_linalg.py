@@ -144,13 +144,16 @@ def test_membership_decision_matches_recombination(rows, coeffs):
 class FractionBasis:
     """Reference eliminator: TriangularBasis as it was when every coefficient
     was a Fraction and provenance was divided by the lead on every update.
-    Columns are ints ordered by value."""
+    Columns are ints ordered by value.  A new row is reduced only at its
+    lead, as TriangularBasis stores it; with `full=True` it is fully
+    reduced, as TriangularBasis stored it before."""
 
-    def __init__(self):
+    def __init__(self, full=False):
+        self.full = full
         self.rows: dict = {}
         self.prov: dict = {}
 
-    def reduce(self, vec):
+    def reduce(self, vec, lead_only=False):
         work = {col: Fraction(v) for col, v in vec.items() if v}
         residual: dict = {}
         combo: dict = {}
@@ -160,6 +163,9 @@ class FractionBasis:
             row = self.rows.get(col)
             if row is None:
                 residual[col] = c
+                if lead_only:
+                    residual.update(work)
+                    break
                 continue
             combo[col] = c
             for col2, v in row.items():
@@ -172,7 +178,7 @@ class FractionBasis:
         return residual, combo
 
     def insert(self, vec, tag):
-        residual, combo = self.reduce(vec)
+        residual, combo = self.reduce(vec, lead_only=not self.full)
         if not residual:
             return False
         pivot = max(residual)
@@ -244,6 +250,47 @@ def test_matches_fraction_reference(rows, probe):
     for col in range(5):
         if col not in basis.rows:
             assert basis.annihilator(col) == ref.annihilator(col)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=6, max_size=6),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=6, max_size=6),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=8, max_size=8),
+)
+def test_lead_reduction_answers_as_full_reduction(rows, probe, coeffs):
+    # rows stored reduced only at their lead differ from fully reduced ones,
+    # but every answer the basis gives is fixed by the span
+    basis = make_basis(track=True)
+    ref = FractionBasis(full=True)
+    vecs = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    for tag, vec in enumerate(vecs):
+        assert basis.insert(vec, tag) == ref.insert(vec, tag)
+    assert set(basis.rows) == set(ref.rows)
+    member: dict = {}
+    for c, vec in zip(coeffs, vecs):
+        for col, v in vec.items():
+            member[col] = member.get(col, 0) + c * v
+    for vec in ({j: v for j, v in enumerate(probe) if v}, {k: v for k, v in member.items() if v}):
+        residual, combo = basis.reduce(vec)
+        ref_residual, ref_combo = ref.reduce(vec)
+        assert residual == ref_residual
+        assert basis.provenance_of(combo) == ref.provenance_of(ref_combo)
+    for col in range(6):
+        if col not in basis.rows:
+            assert basis.annihilator(col) == ref.annihilator(col)
+
+
+def test_new_rows_are_reduced_only_at_their_lead():
+    basis = make_basis()
+    basis.insert({1: 1})
+    assert basis.insert({2: 1, 1: 1})
+    assert basis.rows[2] == {2: 1, 1: 1}  # column 1 is a pivot, left in place
+    assert basis.reduce({2: 1, 0: 1}) == ({0: 1}, {2: 1, 1: -1})
 
 
 def test_non_integral_row_certificates():

@@ -595,6 +595,59 @@ def test_blocks_match_whole_piece(n, picks, inhomogeneous, products, extras):
     assert_blocks_match_whole_piece(n, gens, f)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([3, 4]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    st.integers(0, 4),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 999), st.integers(-3, 3)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 9999), st.integers(-2, 2)), max_size=2),
+)
+def test_grown_piece_matches_one_shot(n, picks, cut, inhomogeneous, diagonal, products, extras):
+    # generators added one at a time, after blocks of the earlier ones were
+    # built, give the verdicts of a piece built with them all at once
+    homogeneous, odd = generator_pool(n)
+    gens = [homogeneous[k] for k in picks] + ([odd] if inhomogeneous else [])
+    cut %= len(gens)
+    degree = 3
+    top = monomials_of_degree(n, degree)
+    candidates = []
+    for gk, mk, c in products:  # one candidate per product, plus the extras
+        g = gens[gk % len(gens)]
+        mons = monomials_of_degree(n, degree - g.degree)
+        f = g.times_monomial(mons[mk % len(mons)]) * c
+        for ek, ec in extras:
+            f = f + Polynomial(n, {top[ek % len(top)]: ec})
+        candidates.append(f)
+    grown = GradedPiece(n, gens[:cut], degree, diagonal=diagonal)
+    for k in range(cut, len(gens) + 1):
+        if k > cut:
+            grown.add(gens[k - 1 : k])
+        whole = GradedPiece(n, gens[:k], degree, diagonal=diagonal)
+        assert grown.gens == whole.gens
+        for f in candidates:
+            verdict = grown.contains(f)
+            assert verdict == whole.contains(f)
+            if verdict is not None:
+                assert whole.verify(f, verdict)
+    assert sorted(grown.rows) == sorted(whole.rows)
+
+
+def test_inhomogeneous_generator_added_last_drops_the_blocks():
+    homogeneous, odd = generator_pool(3)
+    f = principal_minor_sum(3, 2) + Polynomial.variable(3, 1, 1) * Polynomial.variable(3, 2, 3)
+    piece = GradedPiece(3, [homogeneous[0]], 2)
+    assert piece.contains(f)["status"] == NON_MEMBER
+    assert len(piece._blocks) > 1
+    piece.add([odd])
+    assert (piece._blocks, piece.rows, piece.nonzeros) == ({}, [], 0)
+    verdict = piece.contains(f)
+    assert verdict == GradedPiece(3, [homogeneous[0], odd], 2).contains(f)
+    assert list(piece._blocks) == [()] and len(piece.rows) == 2 * 9
+
+
 def test_mixed_weight_candidate_uses_the_failing_block():
     t1 = principal_minor_sum(3, 1)
     x12, x21 = Polynomial.variable(3, 1, 2), Polynomial.variable(3, 2, 1)

@@ -26,7 +26,8 @@ def test_sort_with_sign():
     assert sort_with_sign((1, 2, 3)) == ((1, 2, 3), 1)
     assert sort_with_sign((2, 1)) == ((1, 2), -1)
     assert sort_with_sign((3, 1, 2)) == ((1, 2, 3), 1)
-    assert sort_with_sign((1, 1)) == ((1, 1), 0)
+    with pytest.raises(ValueError, match="repeated entry 1"):
+        sort_with_sign((2, 1, 1))
 
 
 def test_minor_examples():

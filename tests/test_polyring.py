@@ -67,6 +67,15 @@ def test_construction_and_validation():
         Polynomial(2, {(((1, 1), 1),): Fraction(1, 2)})
 
 
+def test_constructor_rejects_bool_coefficients():
+    # True == 1 but prints as "True", which `from_records` cannot read back
+    for coeff in (True, False):
+        with pytest.raises(TypeError, match="exact integers"):
+            Polynomial(2, {(((1, 1), 1),): coeff})
+    p = Polynomial(2, {(((1, 1), 1),): 1})
+    assert Polynomial.from_records(2, p.to_records()) == p
+
+
 def test_constructor_takes_only_canonical_monomials():
     # the rule `mon_from_record` reads records by: sorted, distinct variables in range, exponents >= 1
     for bad in (
