@@ -8,6 +8,7 @@ from .membership import (
     scheduled_generators,
     verify_minimal,
     verify_redundant,
+    verify_rel1,
 )
 from .minors import (
     family_rank,
@@ -23,6 +24,7 @@ from .orbit import (
     jordan_matrix,
     kernel_dimensions,
     sample_orbit,
+    verify_vanishing,
 )
 from .partitions import (
     Partition,
@@ -34,7 +36,6 @@ from .partitions import (
     necessity_witness,
     parse_partition,
     partitions_of,
-    rank_variety_schedule,
     redundancy_witness,
 )
 from .polyring import Polynomial, monomials_of_degree
@@ -50,6 +51,7 @@ __all__ = [
     "scheduled_generators",
     "verify_minimal",
     "verify_redundant",
+    "verify_rel1",
     "family_rank",
     "minor",
     "minor_sum_basis",
@@ -61,6 +63,7 @@ __all__ = [
     "jordan_matrix",
     "kernel_dimensions",
     "sample_orbit",
+    "verify_vanishing",
     "Partition",
     "admits_minor_space",
     "excluded_depths",
@@ -70,7 +73,6 @@ __all__ = [
     "necessity_witness",
     "parse_partition",
     "partitions_of",
-    "rank_variety_schedule",
     "redundancy_witness",
     "Polynomial",
     "monomials_of_degree",

@@ -3,9 +3,11 @@ witnesses, membership oracles, and the full verification pipeline.
 
 Each `cmd_*` returns its report's fields, its text lines and whether
 every check held; it raises ValueError on a usage error and _Refused on a
-resource refusal.  `main` alone prints a report and picks every exit code:
-0 success, 1 verification mismatch, 2 usage error (or an unwritable
-generators file), 3 resource refusal.  `generators` prints its own stdout,
+resource refusal.  Every verdict comes from a library suite
+(`verify_minimal`, `verify_redundant`, `verify_rel1`, `verify_vanishing`).
+`main` alone prints a report and picks every exit code: 0 success,
+1 verification mismatch, 2 usage error (or an unwritable generators
+file), 3 resource refusal.  `generators` prints its own stdout,
 which is the text of the file it writes with "path" added.  Reports are
 byte-identical across runs with the same configuration; the JSON shape is
 described by report_schema.json shipped with the package.
@@ -19,9 +21,9 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .membership import MEMBER, GradedPiece, _layer_name, verify_minimal, verify_redundant
+from .membership import _layer_name, verify_minimal, verify_redundant, verify_rel1
 from .minors import family_rank
-from .orbit import check_vanishing
+from .orbit import verify_vanishing
 from .partitions import (
     Partition,
     admits_minor_space,
@@ -31,7 +33,6 @@ from .partitions import (
     minor_space_vanishes,
     necessity_witness,
     parse_partition,
-    rank_variety_schedule,
     redundancy_witness,
 )
 from .schur import dimension_table, layer_basis, layer_dimension
@@ -162,43 +163,32 @@ def render_diagram(mu: Partition, arrows) -> list[str]:
 
 def cmd_schedule(args):
     mu = parse_partition(args.partition)
-    ambient = args.n if args.n is not None else mu.n
-    minimal = rank_variety_schedule(mu, ambient)  # raises when ambient < |mu|
-    rank_variety = ambient > mu.n
-    full = None if rank_variety else full_schedule(mu)
+    n = mu.n
+    minimal, full = minimal_schedule(mu), full_schedule(mu)
     arrows = [i for i, _ in minimal if i]
     diagram = render_diagram(mu, arrows)
+    inv = [p for i, p in minimal if not i]
     fields = {
         "partition": str(mu),
-        "n": ambient,
+        "n": n,
         "conjugate": str(mu.conjugate()),
-        "rank_variety": rank_variety,
-        "invariants": [p for i, p in minimal if not i],
-        "minimal": _descriptor_dicts(minimal, ambient),
-        "full": None if full is None else _descriptor_dicts(full, ambient),
+        "invariants": inv,
+        "minimal": _descriptor_dicts(minimal, n),
+        "full": _descriptor_dicts(full, n),
         "arrows": arrows,
         "diagram": diagram,
     }
-    if rank_variety:
-        fields["note"] = (
-            "rank-variety schedule uses the literal unshifted critical sizes; "
-            "see the dims and verify commands for the square case only"
-        )
     lines = [
-        f"partition: {mu}  (n = {ambient})",
+        f"partition: {mu}  (n = {n})",
         f"conjugate: {mu.conjugate()}",
+        f"invariants: t_p for p = {inv[0]}..{inv[-1]}",
+        "full minor spaces:    " + " ".join(f"({i},{p})" for i, p in full if i),
+        "minimal minor spaces: " + " ".join(f"({i},{p})" for i, p in minimal if i),
+        "dimensions:           " + " ".join(str(d["dimension"]) for d in fields["minimal"]),
+        f"arrows under columns: {', '.join(map(str, arrows)) if arrows else '(none)'}",
+        "",
+        *diagram,
     ]
-    if rank_variety:
-        lines.append("rank variety inside larger matrices; literal critical sizes")
-    inv = fields["invariants"]
-    lines.append(f"invariants: t_p for p = {inv[0]}..{inv[-1]}")
-    if full is not None:
-        lines.append("full minor spaces:    " + " ".join(f"({i},{p})" for i, p in full if i))
-    lines.append("minimal minor spaces: " + " ".join(f"({i},{p})" for i, p in minimal if i))
-    lines.append("dimensions:           " + " ".join(str(d["dimension"]) for d in fields["minimal"]))
-    lines.append(f"arrows under columns: {', '.join(map(str, arrows)) if arrows else '(none)'}")
-    lines.append("")
-    lines.extend(diagram)
     return fields, lines, True
 
 
@@ -297,33 +287,13 @@ def cmd_membership(args):
         if args.n < 2:
             # no (i, p) pair with 1 <= i <= p < n: the sweep would be vacuous
             raise ValueError("--rel1 needs --n of at least 2")
-        n = args.n
-        _check_max_n(n, args)
-
-        # one piece per size p, grown by the layers of size p depth by
-        # depth; the ideal of V(i,p) only grows with i, so a candidate shown
-        # a member at a smaller depth stays one and is not queried again
-        results = []
-        ok = True
-        for p in range(1, n):
-            piece = GradedPiece(n, (), p + 1)
-            candidates = []  # the layers of depth 0..i at size p+1; the first `shown` are members
-            shown = 0
-            for i in range(p + 1):
-                piece.add(layer_basis(n, i, p))
-                candidates += layer_basis(n, i, p + 1)
-                if not i:
-                    continue
-                while shown < len(candidates) and piece.contains(candidates[shown])["status"] == MEMBER:
-                    shown += 1
-                all_member = shown == len(candidates)
-                ok = ok and all_member
-                results.append({"i": i, "p": p, "all_member": all_member})
-        lines = [f"size-monotone membership at n = {n}:"]
-        for r in results:
+        _check_max_n(args.n, args)
+        report = verify_rel1(args.n)
+        lines = [f"size-monotone membership at n = {args.n}:"]
+        for r in report["results"]:
             lines.append(f"  V({r['i']},{r['p']+1}) in <V({r['i']},{r['p']})>: {'yes' if r['all_member'] else 'NO'}")
-        lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-        return {"kind": "rel1", "n": n, "results": results, "ok": ok}, lines, ok
+        lines.append(f"result: {'PASS' if report['ok'] else 'FAIL'}")
+        return report, lines, report["ok"]
 
     if args.n is not None:
         raise ValueError("--n applies only with --rel1")
@@ -355,36 +325,14 @@ def cmd_verify(args):
     n = mu.n
     _check_max_n(n, args, "; raise --max-n to force (vanishing and oracle cost grows quickly)")
     suite = args.suite
-    run_vanishing = suite in ("all", "vanishing")
-    run_minimal = suite in ("all", "minimal")
-    vanishing = []
-    sharpness = []
-    if run_vanishing:
-        for i, p in full_schedule(mu):
-            all_zero = check_vanishing(mu, i, p) is None
-            vanishing.append({"i": i, "p": p, "all_zero": all_zero, "expected": True})
-        for i in range(1, len(mu) + 1):
-            ci = mu.critical_size(i)
-            if ci > i:
-                witness = check_vanishing(mu, i, ci - 1)
-                entry = {"i": i, "p": ci - 1, "all_zero": witness is None, "expected": False}
-                if witness is not None:
-                    entry["witness"] = {"rows": witness[0], "cols": witness[1]}
-                sharpness.append(entry)
-    minimality = verify_minimal(mu) if run_minimal else None
-    ok = all(e["all_zero"] == e["expected"] for e in vanishing + sharpness)
+    no_points = {"vanishing": [], "sharpness": []}
+    points = verify_vanishing(mu) if suite in ("all", "vanishing") else no_points
+    minimality = verify_minimal(mu) if suite in ("all", "minimal") else None
+    ok = all(e["all_zero"] == e["expected"] for e in points["vanishing"] + points["sharpness"])
     ok = ok and (minimality is None or minimality["ok"])
-    fields = {
-        "suite": suite,
-        "partition": str(mu),
-        "n": n,
-        "vanishing": vanishing,
-        "sharpness": sharpness,
-        "minimality": minimality,
-        "ok": ok,
-    }
+    fields = {"suite": suite, "partition": str(mu), "n": n, **points, "minimality": minimality, "ok": ok}
     lines = [f"verification for {mu} (n = {n}):"]
-    for name, entries in (("vanishing", vanishing), ("sharpness", sharpness)):
+    for name, entries in points.items():
         for e in entries:
             status = "PASS" if e["all_zero"] == e["expected"] else "FAIL"
             lines.append(f"  {name}  (i={e['i']}, p={e['p']}): {status}")
@@ -428,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("schedule", cmd_schedule, "print the full and minimal generator schedules")
     partition(p)
-    p.add_argument("--n", type=size, help="ambient matrix size (rank varieties)")
 
     p = command("generators", cmd_generators, "write the serialized generator families")
     partition(p)
@@ -464,10 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building it costs ten times as much as a parse
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

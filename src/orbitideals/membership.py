@@ -354,6 +354,33 @@ def verify_redundant(mu: Partition, i: int) -> dict:
     }
 
 
+def verify_rel1(n: int) -> dict:
+    """Check V(i,p+1) in <V(i,p)> for every 1 <= i <= p < n, each space
+    spanned by the layer representatives of depths 0..i at its size.
+
+    One piece per size p is grown by the layers of size p depth by depth;
+    the ideal of V(i,p) only grows with i, so a candidate shown a member at
+    a smaller depth stays one and is not queried again.  Returns the
+    JSON-ready report: `kind` "rel1", `n`, one `results` entry
+    {i, p, all_member} per pair, and `ok` when every pair holds."""
+    if n < 2:
+        raise ValueError(f"no pair 1 <= i <= p < n for n = {n}: the sweep would be vacuous")
+    results = []
+    for p in range(1, n):
+        piece = GradedPiece(n, (), p + 1)
+        candidates = []  # the layers of depth 0..i at size p+1; the first `shown` are members
+        shown = 0
+        for i in range(p + 1):
+            piece.add(layer_basis(n, i, p))
+            candidates += layer_basis(n, i, p + 1)
+            if not i:
+                continue
+            while shown < len(candidates) and piece.contains(candidates[shown])["status"] == MEMBER:
+                shown += 1
+            results.append({"i": i, "p": p, "all_member": shown == len(candidates)})
+    return {"kind": "rel1", "n": n, "results": results, "ok": all(r["all_member"] for r in results)}
+
+
 def _check(kind: str, i: int, p: int, expected: str, status: str, detail: dict) -> dict:
     """One claim of the minimality report, of kind "minor_space",
     "invariant" or "excluded"; it is `ok` when the status found is the
@@ -422,7 +449,8 @@ def verify_minimal(mu: Partition) -> dict:
     the remaining generators by the graded oracle, whose verdict is the
     check's `detail` and counts only once `GradedPiece.verify` accepts its
     certificate (status "unverified" otherwise); excluded depths get their
-    `layer_basis` representatives certified members (see `verify_redundant`).
+    `layer_basis` representatives certified members (see `verify_redundant`),
+    and each combination is re-checked the same way.
     Inconclusive outcomes are reported, never silenced.
 
     Returns the JSON-ready report: `partition`, `n`, one `checks` entry
@@ -448,6 +476,10 @@ def verify_minimal(mu: Partition) -> dict:
     for i in excluded_depths(mu):
         report = verify_redundant(mu, i)
         status = MEMBER if report["all_member"] else "mismatch"
+        if report["verdicts"]:
+            piece = GradedPiece(mu.n, scheduled_generators(mu, before_depth=i)[1], report["p"])
+            if not all(map(piece.verify, layer_basis(mu.n, i, report["p"]), report["verdicts"])):
+                status = "unverified"
         detail = {"zero_space": report["zero_space"], "candidates": report["candidates"]}
         checks.append(_check("excluded", i, report["p"], MEMBER, status, detail))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .minors import prefix_pairs, signed_minors
-from .partitions import Partition
+from .partitions import Partition, full_schedule
 
 
 @lru_cache(maxsize=None)
@@ -160,3 +160,23 @@ def check_vanishing(mu: Partition, i: int, p: int) -> tuple[tuple[int, ...], tup
     if not (1 <= p <= n and 0 <= i <= min(p, n - p)):
         raise ValueError(f"need a size p in 1..{n} and a depth in 0..min(p, {n} - p)")
     return next((pair for pair in prefix_pairs(n, i) if prefixed_sum_at_jordan(mu, *pair, p)), None)
+
+
+def verify_vanishing(mu: Partition) -> dict:
+    """The JSON-ready `vanishing` and `sharpness` entries of a `verify`
+    report: every layer of `full_schedule(mu)` must vanish on the orbit
+    closure, and every depth i with critical_size(i) > i must not vanish one
+    size below it, where the witness pair of `check_vanishing` is printed."""
+    vanishing = []
+    for i, p in full_schedule(mu):
+        vanishing.append({"i": i, "p": p, "all_zero": check_vanishing(mu, i, p) is None, "expected": True})
+    sharpness = []
+    for i in range(1, len(mu) + 1):
+        ci = mu.critical_size(i)
+        if ci > i:
+            witness = check_vanishing(mu, i, ci - 1)
+            entry = {"i": i, "p": ci - 1, "all_zero": witness is None, "expected": False}
+            if witness is not None:
+                entry["witness"] = {"rows": witness[0], "cols": witness[1]}
+            sharpness.append(entry)
+    return {"vanishing": vanishing, "sharpness": sharpness}

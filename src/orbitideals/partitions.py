@@ -139,10 +139,11 @@ def minimal_schedule(mu: Partition) -> tuple[tuple[int, int], ...]:
 
 
 def rank_variety_schedule(mu: Partition, n: int) -> tuple[tuple[int, int], ...]:
-    """The layers (i, p) scheduled for the rank variety of mu (a partition
-    of l <= n) inside n x n matrices: the minimal schedule read at ambient
-    size n, with invariants of degrees n-l+1 .. n-l+mu_1 and the literal
-    unshifted critical sizes (flagged as literal in CLI output)."""
+    """The minimal schedule of mu (a partition of l <= n) read at ambient
+    size n: invariants of degrees n-l+1 .. n-l+mu_1 and the literal
+    unshifted critical sizes.  Unverified, and not minimal for n > l (t_3
+    lies in the ideal of the 2 x 2 minors); nothing calls it, but
+    perfbench/tracer.py wraps it by name until ROADMAP item 6 lands."""
     if mu.n > n:
         raise ValueError(f"partition total {mu.n} exceeds matrix size {n}")
     return _schedule(mu, n, True)

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitideals import cli, membership
+from orbitideals import cli, membership, orbit
 from orbitideals.cli import main, render_diagram
 from orbitideals.partitions import (
     admits_minor_space,
@@ -17,7 +17,6 @@ from orbitideals.partitions import (
     minor_space_vanishes,
     parse_partition,
     partitions_of,
-    rank_variety_schedule,
 )
 from orbitideals.schur import layer_basis, layer_dimension
 
@@ -102,48 +101,21 @@ def test_malformed_partition_is_usage_error(capsys):
         assert err.startswith("error: "), text
 
 
-def test_rank_variety_schedule_flagged(capsys):
-    code, out, _ = run(capsys, "schedule", "--partition", "2,1", "--n", "4", "--json")
-    assert code == 0
-    report = validate_report(out)
-    assert report["rank_variety"] is True
-    assert report["invariants"] == [2, 3]
-    assert "note" in report
-
-
-def test_schedule_ambient_below_partition_total(capsys):
-    code, out, err = run(capsys, "schedule", "--partition", "3,2", "--n", "4", "--json")
-    assert (code, out) == (2, "")
-    assert "partition total 5 exceeds matrix size 4" in err
-
-
 def test_schedule_descriptors_sweep(capsys):
-    # every mu of n <= 7, square and inside (n+2) x (n+2) matrices
+    # every mu of n <= 7
     for n in range(1, 8):
         for mu in partitions_of(n):
-            for ambient in (n, n + 2):
-                extra = ("--n", str(ambient)) if ambient > n else ()
-                code, out, _ = run(capsys, "schedule", "--partition", str(mu), *extra, "--json")
-                assert code == 0
-                report = validate_report(out)
-                assert report["n"] == ambient
-                rank_variety = ambient > n
-                assert report["rank_variety"] is rank_variety
-                assert ("note" in report) is rank_variety
-                lists = [report["minimal"]]
-                # the layers: the invariants as depth 0, then the minor spaces
-                invariants = [(0, p) for p in report["invariants"]]
-                layers = rank_variety_schedule(mu, ambient)
-                assert list(layers) == invariants + [(d["i"], d["p"]) for d in report["minimal"]]
-                if rank_variety:
-                    assert report["full"] is None
-                else:
-                    lists.append(report["full"])
-                    layers = full_schedule(mu)
-                    assert list(layers) == invariants + [(d["i"], d["p"]) for d in report["full"]]
-                for d in (d for descriptors in lists for d in descriptors):
-                    assert d["degree"] == d["p"], (mu, ambient, d)
-                    assert d["dimension"] == layer_dimension(ambient, d["i"]), (mu, ambient, d)
+            code, out, _ = run(capsys, "schedule", "--partition", str(mu), "--json")
+            assert code == 0
+            report = validate_report(out)
+            assert report["n"] == n
+            # the layers: the invariants as depth 0, then the minor spaces
+            invariants = [(0, p) for p in report["invariants"]]
+            for key, layers in (("minimal", minimal_schedule(mu)), ("full", full_schedule(mu))):
+                assert list(layers) == invariants + [(d["i"], d["p"]) for d in report[key]]
+                for d in report[key]:
+                    assert d["degree"] == d["p"], (mu, d)
+                    assert d["dimension"] == layer_dimension(n, d["i"]), (mu, d)
 
 
 def test_generators_writes_file(tmp_path, monkeypatch, capsys):
@@ -321,6 +293,7 @@ def test_membership_rel1_matches_a_fresh_piece_per_step(capsys, n):
             all_member = all(piece.contains(c)["status"] == membership.MEMBER for c in span(i, p + 1))
             results.append({"i": i, "p": p, "all_member": all_member})
     oracle = {"kind": "rel1", "n": n, "results": results, "ok": all(r["all_member"] for r in results)}
+    assert membership.verify_rel1(n) == oracle
     code, out, _ = run(capsys, "membership", "--rel1", "--n", str(n), "--json")
     assert code == 0
     report = json.loads(out)
@@ -423,6 +396,7 @@ def test_verify_failing_check_exits_one(monkeypatch, capsys):
         (["dims", "--n", "6"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
         (["membership", "--partition", "3,2,1", "--i", "2"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
         (["membership", "--rel1", "--n", "6"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
+        (["schedule", "--partition", "2", "--n", "3"], 2, "error: unrecognized arguments: --n 3\n"),
     ],
 )
 @pytest.mark.parametrize("flags", [(), ("--json",)])
@@ -432,6 +406,16 @@ def test_error_exits_print_nothing_to_stdout(tmp_path, monkeypatch, capsys, argv
     got, out, err = run(capsys, *argv, *flags)
     assert (got, out) == (code, ""), argv
     assert message in err, err
+
+
+def test_verify_vanishing_is_the_library_suite(capsys):
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            code, out, _ = run(capsys, "verify", "vanishing", "--partition", str(mu), "--json")
+            assert code == 0
+            report = json.loads(out)
+            suites = json.loads(json.dumps(orbit.verify_vanishing(mu)))  # witness tuples as lists
+            assert suites == {k: report[k] for k in ("vanishing", "sharpness")}, mu
 
 
 def test_verify_refusal(capsys):
@@ -542,7 +526,6 @@ def test_encode_rejects_what_no_report_holds():
 
 SUBCOMMANDS = [
     ("schedule", "--partition", "3^2,2^2,1^5"),
-    ("schedule", "--partition", "2,1", "--n", "5"),
     ("dims", "--n", "3"),
     ("witness", "--partition", "4,2^3,1^5"),
     ("membership", "--rel1", "--n", "3"),
@@ -563,6 +546,19 @@ def test_every_json_report_has_stdlib_bytes(capsys):
     assert {argv[0] for argv in outs} == {"schedule", "dims", "witness", "membership", "verify"}
     assert '"combination"' in outs[SUBCOMMANDS[-2]]
     assert '"point"' in outs[SUBCOMMANDS[-1]]
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; an argparse error and a refusal
+    # leave nothing behind that changes a later call
+    def sweep():
+        return [run(capsys, *argv, *flags) for argv in SUBCOMMANDS for flags in ((), ("--json",))]
+
+    first = sweep()
+    assert run(capsys, "membership", "--rel1", "--partition", "2,1")[0] == 2
+    assert run(capsys, "verify", "--partition", "3,2,1", "--json")[0] == 3
+    assert sweep() == first
+    assert {code for code, _, _ in first} == {0}
 
 
 def test_generators_encodes_once(tmp_path, monkeypatch, capsys):

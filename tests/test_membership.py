@@ -73,15 +73,6 @@ def test_degree_mismatch_rejected():
         piece.contains(principal_minor_sum(3, 3))
 
 
-def test_rel1_echo_n3():
-    gens = minor_sum_basis(3, 1, 2)
-    piece = GradedPiece(3, gens, 3)
-    for c in minor_sum_basis(3, 1, 3):
-        verdict = piece.contains(c)
-        assert verdict["status"] == MEMBER
-        assert piece.verify(c, verdict)
-
-
 def test_non_member_functional_certificate():
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
@@ -143,6 +134,38 @@ def test_invariant_check_rests_on_its_certificate(monkeypatch, forge):
     report = verify_minimal(Partition((3,)))
     assert [(c["kind"], c["status"], c["ok"]) for c in report["checks"]] == [("invariant", "unverified", False)] * 3
     assert not report["ok"]
+
+
+def _first_combination_zeroed(verdict):
+    first, *rest = verdict["combination"]
+    return {**verdict, "combination": [{**first, "coeff": "0"}, *rest]}
+
+
+@pytest.mark.parametrize("forge", [_without_certificate, _first_combination_zeroed])
+def test_excluded_check_rests_on_its_certificates(monkeypatch, forge):
+    # a `member` status alone does not pass: every combination of the
+    # excluded depth 2 of (2,2,1) is re-checked, and one forged fails
+    mu = Partition((2, 2, 1))
+    assert verify_minimal(mu)["ok"]
+    honest = membership.verify_redundant
+
+    def forged(mu, i):
+        report = honest(mu, i)
+        first, *rest = report["verdicts"]
+        return {**report, "verdicts": [forge(first), *rest]}
+
+    monkeypatch.setattr(membership, "verify_redundant", forged)
+    report = verify_minimal(mu)
+    (check,) = [c for c in report["checks"] if c["kind"] == "excluded"]
+    assert (check["i"], check["status"], check["ok"]) == (2, "unverified", False)
+    assert check["detail"] == {"zero_space": False, "candidates": 75}
+    assert not report["ok"]
+
+
+def test_verify_rel1_needs_two_rows():
+    for n in (1, 0):
+        with pytest.raises(ValueError):
+            membership.verify_rel1(n)
 
 
 def test_rel1_members_and_t1_non_member_reverify():
