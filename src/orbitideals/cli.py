@@ -35,6 +35,7 @@ from .partitions import (
     parse_partition,
     redundancy_witness,
 )
+from .polyring import Polynomial
 from .schur import dimension_table, layer_basis, layer_dimension
 
 DEFAULT_MAX_N = 5
@@ -68,13 +69,46 @@ class _Encoder(json.JSONEncoder):
     list is built with one str.join and strings go through the C
     encode_basestring_ascii.  For one encode call the text of every key,
     and of every all-int list (monomial triples, Jordan point rows) at its
-    depth, is cached.  Any other type raises TypeError, since no report
-    holds one: a float, a str or int subclass, or a non-str key (a key's
-    type is checked when its text is first cached)."""
+    depth, is cached.
+
+    A `Polynomial` (exactly that type) is written as the text of its
+    `to_records()` without building them: one walk over its sorted terms,
+    each a {"coeff", "monomial"} record with the coefficient as a quoted
+    decimal and the monomial as [row, col, exponent] triples ([] for the
+    unit monomial); the zero polynomial is [].  Any other type raises
+    TypeError, since no report holds one: a float, a str, int or
+    Polynomial subclass, or a non-str key (a key's type is checked when
+    its text is first cached)."""
 
     def encode(self, o):
         keys: dict[str, str] = {}
         ints: dict[tuple, str] = {}
+
+        def int_list(o: tuple, level: int) -> str:
+            key = (o, level)
+            text = ints.get(key)
+            if text is None:
+                inner = "\n" + "  " * (level + 1)
+                items = ("," + inner).join(map(int.__repr__, o))
+                text = ints[key] = "[" + inner + items + "\n" + "  " * level + "]"
+            return text
+
+        def polynomial(o: Polynomial, level: int) -> str:
+            terms = o.sorted_terms()
+            if not terms:
+                return "[]"
+            # a record at level + 1, its fields at level + 2, triples at level + 3
+            rec, field, triple = ("\n" + "  " * (level + k) for k in (1, 2, 3))
+            head, middle, tail = "{" + field + '"coeff": ', "," + field + '"monomial": ', rec + "}"
+            parts = []
+            for mon, c in terms:
+                if mon:
+                    triples = ("," + triple).join([int_list((r, col, e), level + 3) for (r, col), e in mon])
+                    text = "[" + triple + triples + field + "]"
+                else:
+                    text = "[]"
+                parts.append(head + _quote(str(c)) + middle + text + tail)
+            return "[" + rec + ("," + rec).join(parts) + "\n" + "  " * level + "]"
 
         def enc(o, level: int) -> str:
             t = type(o)
@@ -96,16 +130,13 @@ class _Encoder(json.JSONEncoder):
             if t is list or t is tuple:
                 if not o:
                     return "[]"
-                inner = "\n" + "  " * (level + 1)
                 if type(o[0]) is int and all(type(x) is int for x in o):
-                    key = (tuple(o), level)
-                    text = ints.get(key)
-                    if text is None:
-                        items = ("," + inner).join(map(int.__repr__, o))
-                        text = ints[key] = "[" + inner + items + "\n" + "  " * level + "]"
-                    return text
+                    return int_list(tuple(o), level)
+                inner = "\n" + "  " * (level + 1)
                 items = ("," + inner).join([enc(x, level + 1) for x in o])
                 return "[" + inner + items + "\n" + "  " * level + "]"
+            if t is Polynomial:
+                return polynomial(o, level)
             if t is int:
                 return int.__repr__(o)
             if o is None:
@@ -126,8 +157,8 @@ def _encode(report: dict) -> str:
 def _write_blocks(stream, text: str, stop: int):
     """Write text[:stop] in 64 KiB blocks.  A generators report at n = 6
     runs to 6.5 MB; written whole, it is copied by the slice and again by
-    the stream's encoder, which raised the peak RSS of exporting every
-    partition of 6 by about 4 MB (5 %)."""
+    the stream's encoder, which raises the peak RSS of exporting every
+    partition of 6 by about 1.7 MB (3 %)."""
     for k in range(0, stop, BLOCK):
         stream.write(text[k : min(k + BLOCK, stop)])
 
@@ -197,7 +228,8 @@ def cmd_generators(args):
     n = mu.n
     layers = minimal_schedule(mu)
     count = sum(layer_dimension(n, i) for i, _ in layers)
-    _check_max_n(n, args, f" (about {count} generators of degree up to {mu.critical_size(len(mu))})")
+    top = max(p for _, p in layers)
+    _check_max_n(n, args, f" (about {count} generators of degree up to {top})")
     families = []
     for i, p in layers:
         basis = layer_basis(n, i, p)
@@ -208,7 +240,7 @@ def cmd_generators(args):
                 "p": p,
                 "degree": p,
                 "count": len(basis),
-                "polynomials": [poly.to_records() for poly in basis],
+                "polynomials": list(basis),
             }
         )
     report = _report(args, {"partition": str(mu), "n": n, "families": families})

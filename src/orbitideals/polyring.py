@@ -128,7 +128,8 @@ def monomials_of_degree(n: int, d: int, variables=None) -> list[Mon]:
         for v in combo:
             exps[v] = exps.get(v, 0) + 1
         out.append(tuple(sorted(exps.items())))
-    out.sort(key=lambda m: term_key(n, m), reverse=True)
+    # one degree, so one key header: the exponent digits alone give the order
+    out.sort(key=lambda m: pack(n, m, d), reverse=True)
     return out
 
 
@@ -253,8 +254,10 @@ class Polynomial:
     __hash__ = None  # mutable-dict backed; identity hashing would be a trap
 
     def sorted_terms(self) -> list[tuple[Mon, int]]:
-        """Terms in descending canonical order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda t: term_key(self.n, t[0]), reverse=True)
+        """Terms in descending canonical order (leading term first).  The
+        terms share one degree, so they sort by `pack` without the header."""
+        n, d = self.n, self.degree
+        return sorted(self.terms.items(), key=lambda t: pack(n, t[0], d), reverse=True)
 
     # -- ring operations ---------------------------------------------------
 
@@ -344,7 +347,9 @@ class Polynomial:
 
     def to_records(self) -> list[dict]:
         """JSON-friendly terms: coeff as decimal string, monomial as
-        [row, col, exponent] triples sorted by (row, col); descending order."""
+        [row, col, exponent] triples sorted by (row, col); descending order.
+        The CLI's encoder writes the text of these records straight from
+        the terms, without building them."""
         return [{"coeff": str(c), "monomial": mon_to_record(mon)} for mon, c in self.sorted_terms()]
 
     @classmethod

@@ -18,6 +18,7 @@ from orbitideals.partitions import (
     parse_partition,
     partitions_of,
 )
+from orbitideals.polyring import Polynomial, monomials_of_degree
 from orbitideals.schur import layer_basis, layer_dimension
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
@@ -147,18 +148,34 @@ def test_generators_family_counts_match_schedule(tmp_path, monkeypatch, capsys):
 
 
 def test_generators_json_bytes(tmp_path, monkeypatch, capsys):
-    # stdout is the file's report with "path" added, each encoded once
+    # the file is the stdlib encoding of the report with to_records()
+    # families; stdout is the same report with "path" added
     monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
-    for n in range(1, 5):
-        for mu in partitions_of(n):
-            code, out, _ = run(capsys, "generators", "--partition", str(mu), "--json")
-            assert code == 0
-            path = str(tmp_path / f"generators_{str(mu).replace(',', '_')}.json")
-            with open(path) as fh:
-                text = fh.read()
-            report = json.loads(text)
-            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
-            assert out == json.dumps({**report, "path": path}, indent=2, sort_keys=True) + "\n"
+    for mu in [*(mu for n in range(1, 5) for mu in partitions_of(n)), parse_partition("2,2,1")]:
+        code, out, _ = run(capsys, "generators", "--partition", str(mu), "--json")
+        assert code == 0
+        path = str(tmp_path / f"generators_{str(mu).replace(',', '_')}.json")
+        families = [
+            {
+                "family": f"U_({i},{p})" if i else f"t_{p}",
+                "i": i,
+                "p": p,
+                "degree": p,
+                "count": layer_dimension(mu.n, i),
+                "polynomials": [poly.to_records() for poly in layer_basis(mu.n, i, p)],
+            }
+            for i, p in minimal_schedule(mu)
+        ]
+        report = {
+            "report": "generators",
+            "config": {"partition": str(mu), "max_n": 5, "output": "json"},
+            "partition": str(mu),
+            "n": mu.n,
+            "families": families,
+        }
+        with open(path) as fh:
+            assert_same_text(fh.read(), stdlib_bytes(report) + "\n", mu)
+        assert_same_text(out, stdlib_bytes({**report, "path": path}) + "\n", mu)
 
 
 def test_generators_unwritable_workdir(tmp_path, monkeypatch, capsys):
@@ -397,6 +414,8 @@ def test_verify_failing_check_exits_one(monkeypatch, capsys):
         (["membership", "--partition", "3,2,1", "--i", "2"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
         (["membership", "--rel1", "--n", "6"], 3, "refusing: n = 6 exceeds --max-n = 5\n"),
         (["schedule", "--partition", "2", "--n", "3"], 2, "error: unrecognized arguments: --n 3\n"),
+        # the degree is the largest scheduled size, 3, not critical_size(3) = 5
+        (["generators", "--partition", "3,3,1"], 3, "(about 51 generators of degree up to 3)\n"),
     ],
 )
 @pytest.mark.parametrize("flags", [(), ("--json",)])
@@ -483,6 +502,14 @@ def stdlib_bytes(o) -> str:
     return json.dumps(o, indent=2, sort_keys=True)
 
 
+def assert_same_text(got: str, want: str, what=""):
+    """got == want, failing with the first difference only: pytest's own
+    diff of two texts of many thousand lines takes minutes."""
+    if got != want:
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(f"{what} texts differ at {k}: {got[k - 40 : k + 40]!r} != {want[k - 40 : k + 40]!r}")
+
+
 # strings with quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\n\t\x7f\xe9\u20ac\U0001f600')) | st.text()
 JSON_TREES = st.recursive(
@@ -503,10 +530,53 @@ def test_encode_matches_stdlib_bytes(tree):
     assert cli._encode(tree) == stdlib_bytes(tree)
 
 
+@st.composite
+def polynomials(draw):
+    """Homogeneous polynomials for n = 1..4: zero, constants, exponents
+    above 1 and coefficients far past 64 bits of either sign."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 4))
+    mons = monomials_of_degree(n, d)
+    picks = draw(st.lists(st.tuples(st.sampled_from(mons), st.integers(-(10**40), 10**40)), max_size=6))
+    return Polynomial(n, dict(picks))
+
+
+def records(tree):
+    """The tree with each Polynomial replaced by its to_records()."""
+    if type(tree) is Polynomial:
+        return tree.to_records()
+    if type(tree) is dict:
+        return {k: records(v) for k, v in tree.items()}
+    if type(tree) in (list, tuple):
+        return [records(x) for x in tree]
+    return tree
+
+
+POLYNOMIAL_TREES = st.recursive(
+    polynomials() | st.integers(-3, 3) | TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+    max_leaves=8,
+)
+LAYERS = {f"({n},{i},{p})": layer_basis(n, i, p) for n in range(1, 6) for p in range(1, n + 1) for i in range(n + 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYNOMIAL_TREES)
+@example(Polynomial.zero(2))
+@example([Polynomial.constant(3, -(10**30)), {"a": [Polynomial.constant(1, 7)]}])
+@example({"polynomials": [Polynomial(2, {(((1, 1), 3), ((2, 1), 1)): -5, (((1, 2), 4),): 2})]})
+@example(LAYERS)
+def test_encode_writes_polynomials_as_their_records(tree):
+    assert_same_text(cli._encode(tree), stdlib_bytes(records(tree)))
+
+
 def test_encode_rejects_what_no_report_holds():
-    # floats, str subclasses and non-str keys raise instead of falling back
-    # to the stdlib encoder
+    # floats, str and Polynomial subclasses and non-str keys raise instead
+    # of falling back to the stdlib encoder
     class Key(str):
+        pass
+
+    class Poly(Polynomial):
         pass
 
     for bad in (
@@ -519,6 +589,7 @@ def test_encode_rejects_what_no_report_holds():
         {2: "b", 1: "a"},
         {1: 1, "b": 2},
         {"a": object()},
+        [Poly(2, {(((1, 1), 1),): 1})],
     ):
         with pytest.raises(TypeError):
             cli._encode(bad)

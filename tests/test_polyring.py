@@ -152,6 +152,34 @@ def test_serialization_round_trip(f):
     assert keys == sorted(keys, reverse=True)
 
 
+@st.composite
+def homogeneous_terms(draw):
+    """(n, terms) of one degree d <= 4, exponents above 1 included."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    mons = monomials_of_degree(n, d)
+    return n, dict(draw(st.lists(st.tuples(st.sampled_from(mons), st.integers(-9, 9)), max_size=8)))
+
+
+@settings(max_examples=100)
+@given(homogeneous_terms())
+def test_sorted_terms_is_the_term_key_order(case):
+    n, terms = case
+    f = Polynomial(n, terms)
+    assert f.sorted_terms() == sorted(f.terms.items(), key=lambda t: term_key(n, t[0]), reverse=True)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_monomials_of_degree_is_in_term_key_order(n, d, data):
+    every = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    some = data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    for variables in (None, some):
+        mons = monomials_of_degree(n, d, variables)
+        assert mons == sorted(mons, key=lambda m: term_key(n, m), reverse=True)
+        assert len(set(mons)) == len(mons) == comb(len(variables or every) + d - 1, d)
+
+
 def test_mon_from_record_reads_only_the_printed_form():
     assert mon_from_record(3, []) == ()
     assert mon_from_record(3, [[1, 1, 2], [2, 1, 1], [2, 3, 1]]) == (((1, 1), 2), ((2, 1), 1), ((2, 3), 1))
