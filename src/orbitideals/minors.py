@@ -3,19 +3,22 @@
 The building blocks for the defining equations of nilpotent orbit closures:
 
 * ``minor(n, rows, cols)`` -- determinant of a square submatrix of the
-  generic n x n matrix, expanded as a polynomial.
+  generic n x n matrix, expanded along its first row from cached smaller
+  minors.
 * ``principal_minor_sum(n, p)`` -- sum of all principal p x p minors; up to
   a global sign this is a coefficient of the characteristic polynomial, and
   it is invariant under conjugation.
 * ``signed_minors(n, P, Q, p)`` -- the terms (R, C, sign) of the prefixed
   sum over J of (P,J|Q,J), its one spelling: the expansion below, the Jordan
-  count of `orbit` and the sign vectors of `schur.layer_tags` read them.
+  count of `orbit` and the sign vectors of `independent_pairs` read them.
 * ``prefix_pairs(n, i)`` -- the sorted length-i prefix pairs, lex in (P, Q).
 * ``prefixed_minor_sum(n, P, Q, p)`` -- that sum expanded, for prefixes P, Q
   of equal length and a size p in 1..n.  The span of these, over all
   prefixes of length i, is the degree-p generator space with prefix depth i.
-* ``minor_sum_basis(n, i, p)`` -- a maximal independent subfamily, selected
-  greedily in lexicographic prefix order by exact rank updates.
+* ``independent_pairs(n, p, pairs, spanned)`` -- the greedy choice of
+  independent prefixed sums, made on their sign vectors over the minors.
+* ``minor_sum_basis(n, i, p)`` -- a maximal independent subfamily in
+  lexicographic prefix order, of which ``family_rank`` is the size.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 from functools import lru_cache
 
 from .linalg import TriangularBasis
-from .polyring import Polynomial, term_key
+from .polyring import Polynomial
 
 
 def sort_with_sign(seq):
@@ -63,31 +66,16 @@ def minor(n: int, rows: tuple, cols: tuple) -> Polynomial:
     _validate_index_set(n, cols, "cols")
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
-    r = len(rows)
-    # Cofactor expansion row by row, memoized on the used-column subset.
-    states: dict[int, dict] = {0: {(): 1}}
-    for k in range(r):
-        row = rows[k]
-        new_states: dict[int, dict] = {}
-        for mask, terms in states.items():
-            for j in range(r):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                # parity of the number of already-used columns right of j
-                above = bin(mask >> (j + 1)).count("1")
-                sign = -1 if above % 2 else 1
-                var = ((row, cols[j]), 1)
-                target = new_states.setdefault(mask | bit, {})
-                for mon, c in terms.items():
-                    nm = mon + (var,)
-                    nc = target.get(nm, 0) + sign * c
-                    if nc:
-                        target[nm] = nc
-                    else:
-                        target.pop(nm, None)
-        states = new_states
-    return Polynomial(n, states[(1 << r) - 1])
+    # Laplace along rows[0], whose variable precedes all of the rest's
+    row, rest = rows[0], rows[1:]
+    if not rest:
+        return Polynomial(n, {(((row, cols[0]), 1),): 1})
+    terms = {}
+    for j, col in enumerate(cols):
+        var = ((row, col), 1)
+        for mon, c in minor(n, rest, cols[:j] + cols[j + 1 :]).terms.items():
+            terms[(var,) + mon] = -c if j % 2 else c
+    return Polynomial(n, terms)
 
 
 def prefix_pairs(n: int, i: int):
@@ -137,6 +125,37 @@ def prefixed_minor_sum(n: int, row_prefix, col_prefix, size: int) -> Polynomial:
     return Polynomial(n, terms)  # drops the cancelled terms
 
 
+def independent_pairs(n: int, size: int, pairs, spanned=()) -> tuple:
+    """The pairs of `pairs`, in order, whose prefixed sums of the given size
+    raise the rank of the sums of `spanned` and of those kept before them.
+
+    Decided with no expansion, on the sums' `signed_minors` sign vectors over
+    the C(n, size)^2 minors (R|C), stopping at full rank.  This is exact:
+    every monomial of (R|C) uses exactly the rows R and the columns C, so
+    distinct minors share no monomial, and a family of sums has the linear
+    relations of its vectors (one sum names each (R|C) once: J = R minus P).
+    """
+    index = {s: k for k, s in enumerate(itertools.combinations(range(1, n + 1), size))}
+    width = len(index)
+
+    def vector(P, Q):
+        return {index[rows] * width + index[cols]: sign for rows, cols, sign in signed_minors(n, P, Q, size)}
+
+    basis = TriangularBasis()
+    for P, Q in spanned:
+        basis.insert(vector(P, Q))
+    return tuple((P, Q) for P, Q in pairs if basis.rank < width * width and basis.insert(vector(P, Q)))
+
+
+def _family_pairs(n: int, prefix_len: int, size: int):
+    """The prefix pairs of `minor_sum_family`, the arguments validated."""
+    if not (1 <= size <= n):
+        raise ValueError(f"minor size must lie in 1..{n}")
+    if prefix_len < 0:
+        raise ValueError("prefix length must be non-negative")
+    return prefix_pairs(n, min(prefix_len, size))
+
+
 def minor_sum_family(n: int, prefix_len: int, size: int):
     """The spanning family of prefixed minor sums, as ((P, Q), polynomial).
 
@@ -146,29 +165,26 @@ def minor_sum_family(n: int, prefix_len: int, size: int):
     earlier one.  The prefix length is capped at `size`: longer prefixes add
     nothing because the space stabilizes once the prefix fills the minor.
     """
-    if not (1 <= size <= n):
-        raise ValueError(f"minor size must lie in 1..{n}")
-    if prefix_len < 0:
-        raise ValueError("prefix length must be non-negative")
-    for P, Q in prefix_pairs(n, min(prefix_len, size)):
+    for P, Q in _family_pairs(n, prefix_len, size):
         yield (P, Q), prefixed_minor_sum(n, P, Q, size)
+
+
+@lru_cache(maxsize=None)
+def _kept_pairs(n: int, prefix_len: int, size: int) -> tuple:
+    """The pairs of the family members `minor_sum_basis` keeps."""
+    return independent_pairs(n, size, _family_pairs(n, prefix_len, size))
 
 
 @lru_cache(maxsize=None)
 def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...]:
     """Maximal linearly independent subfamily of the prefixed minor sums,
-    chosen greedily in lexicographic prefix order with exact rank updates.
+    chosen greedily in lexicographic prefix order (`independent_pairs`).
 
     The cardinality equals C(n, m)^2 with m = min(prefix_len, size, n-size).
     """
-    basis = TriangularBasis()
-    return tuple(
-        poly
-        for _, poly in minor_sum_family(n, prefix_len, size)
-        if not poly.is_zero() and basis.insert({term_key(n, mon): c for mon, c in poly.terms.items()})
-    )
+    return tuple(prefixed_minor_sum(n, P, Q, size) for P, Q in _kept_pairs(n, prefix_len, size))
 
 
 def family_rank(n: int, prefix_len: int, size: int) -> int:
     """Exact rank of the full spanning family of prefixed minor sums."""
-    return len(minor_sum_basis(n, prefix_len, size))
+    return len(_kept_pairs(n, prefix_len, size))

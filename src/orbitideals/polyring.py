@@ -60,8 +60,11 @@ def mon_to_record(mon: Mon) -> list[list[int]]:
 
 def mon_from_record(n: int, triples) -> Mon:
     """The monomial of a record's triples, read only in the form
-    `mon_to_record` prints (`checked_degree`)."""
+    `mon_to_record` prints: ints (not floats or bools) in `checked_degree`
+    form."""
     mon = tuple(((r, c), e) for r, c, e in triples)
+    if not all(type(x) is int for (r, c), e in mon for x in (r, c, e)):
+        raise ValueError(f"monomial {mon} has an entry that is not an int")
     checked_degree(n, mon)
     return mon
 

@@ -6,9 +6,7 @@ increasing filtration in the prefix depth i, stabilizing at depth
 min(p, n-p).  In characteristic 0 the space at depth i decomposes into
 irreducible conjugation-equivariant layers, one per depth j <= i, and the
 partial sums of the layer dimensions are forced to C(n, m)^2.  That pins
-the j-th layer dimension to C(n, j)^2 - C(n, j-1)^2; the closed form is
-cross-checked against exact rank computations rather than trusted
-(see family_rank and the test suite).
+the j-th layer dimension to C(n, j)^2 - C(n, j-1)^2.
 
 The representatives need no polynomial.  Let i <= min(p, n-p) and let
 phi_p send the i x i minor (P|Q) to the prefixed sum sum_J (P,J|Q,J) of
@@ -19,15 +17,14 @@ and column tails are permuted alike, so the signs cancel.  So phi_p maps
 V(i,i) onto V(i,p), and since dim V(i,p) = C(n,i)^2 = dim V(i,i) it is an
 isomorphism that sends each family onto nonzero multiples of the same
 family at size p.  Linear dependencies among prefixed sums therefore do
-not depend on p, and `layer_tags` makes the greedy choice at size i, where
-a depth-i' sum is a vector of signs over the C(n,i)^2 minors (R|C): the
-signs of its terms, read from `minors.signed_minors`, the one spelling of
-a prefixed sum that its expansion and its Jordan count read too.
+not depend on p, and `layer_tags` makes the greedy choice at size i, on
+the sign vectors of `minors.independent_pairs` over the C(n,i)^2 minors.
 
 That argument rests on the closed form dim V(i,p) = C(n,i)^2, which is the
-trust boundary of the selection: `family_rank` checks it by expansion and
-elimination, and the tests compare `layer_basis` with the expanded greedy
-choice.
+trust boundary of the selection.  `family_rank` checks the closed form
+independently of phi_p, by exact elimination of the sign vectors of the
+size-p family itself, and the tests compare `layer_basis` with the greedy
+choice over expanded sums.
 
 Depth 0 is a layer like the others: its one tag is ((), ()), whose sum at
 size p is the invariant t_p, so a generator list is a walk over layers.
@@ -35,12 +32,10 @@ size p is the invariant t_p, so a generator list is a walk over layers.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb
 
-from .linalg import TriangularBasis
-from .minors import prefix_pairs, prefixed_minor_sum, signed_minors
+from .minors import independent_pairs, prefix_pairs, prefixed_minor_sum
 from .polyring import Polynomial
 
 
@@ -65,28 +60,16 @@ def layer_tags(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     """The prefix pairs (P, Q), |P| = |Q| = i, of the depth-i layer
     representatives, for every minor size p with i <= min(p, n-p).
 
-    Computed at size i with no polynomial: the depth-(i-1) sum of (P', Q')
-    is the vector of the signs of its terms `signed_minors(n, P', Q', i)`
-    over the minors (R|C), each column keyed by the lex index of (R, C).
-    After all of them are inserted, the unit vectors (P|Q) that raise the
-    rank, in `prefix_pairs` order, are kept (see the module docstring
-    for why the choice holds at every such p).  Depth 0 has an empty
-    depth -1 family and keeps its one tag ((), ()), the invariant t_p.
-    Past depth n // 2 the result is empty.
+    Chosen at size i, where the depth-i sum of (P, Q) is the minor (P|Q):
+    the pairs whose minors raise the rank of the depth-(i-1) sums
+    (`minors.independent_pairs`), in `prefix_pairs` order.  The module
+    docstring says why the choice holds at every such p.  Depth 0 has an
+    empty depth -1 family and keeps its one tag ((), ()), the invariant
+    t_p.  Past depth n // 2 the result is empty.
     """
     if not (0 <= i <= n):
         raise ValueError(f"depth must lie in 0..{n}")
-    index = {s: k for k, s in enumerate(itertools.combinations(range(1, n + 1), i))}
-    width = len(index)
-    basis = TriangularBasis()
-    for P, Q in prefix_pairs(n, i - 1) if i else ():
-        basis.insert({index[rows] * width + index[cols]: sign for rows, cols, sign in signed_minors(n, P, Q, i)})
-    # once the basis spans all C(n,i)^2 minors, nothing raises the rank
-    return tuple(
-        (P, Q)
-        for P, Q in prefix_pairs(n, i)
-        if basis.rank < width * width and basis.insert({index[P] * width + index[Q]: 1})
-    )
+    return independent_pairs(n, i, prefix_pairs(n, i), prefix_pairs(n, i - 1) if i else ())
 
 
 @lru_cache(maxsize=None)

@@ -99,7 +99,7 @@ def test_criterion_2_witness_reproduction():
 
 def test_criterion_3_dimension_law():
     t0 = time.time()
-    sizes = (2, 3, 4, 5) if LARGE else (2, 3, 4)
+    sizes = tuple(range(2, 9 if LARGE else 8))
     for n in sizes:
         for p in range(1, n + 1):
             for i in range(0, n + 1):

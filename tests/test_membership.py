@@ -486,6 +486,8 @@ def test_unreadable_or_altered_certificates_are_rejected():
         {**term, "gen": -1},
         {**term, "monomial": [[1, 4, 1]]},
         {**term, "monomial": [[0, 2, 1]]},
+        {**term, "monomial": [[1.0, 2, 1]]},
+        {**term, "monomial": [[1, 2, True]]},
         {**term, "coeff": "x"},
         {"monomial": term["monomial"], "coeff": term["coeff"]},
     ]
@@ -503,14 +505,24 @@ def test_unreadable_or_altered_certificates_are_rejected():
         {**first, "coeff": str(Fraction(first["coeff"]) + 1)},
         {**first, "monomial": [[4, 4, 3]]},
         {**first, "monomial": [[0, 0, 3]]},
+        {**first, "monomial": [[1.0, 1, 3]]},
+        {**first, "monomial": [[1, 1, 3.0]]},
         {**first, "coeff": "x"},
         {**first, "coeff": "1/0"},
     ]
     for t in broken_firsts:
         assert slice_piece.verify(t3, {**non_member, "functional": [t] + rest}) is False, t
     assert slice_piece.verify(t3, {"status": NON_MEMBER, "slice": "diagonal"}) is False
+    # off the slice, an extra entry that no row can meet used to pass, and a
+    # float row raised TypeError
+    full_piece = GradedPiece(3, others, 3)
+    full_non_member = full_piece.contains(t3)
+    for extra in ([[1, 2, 1.5]], [[1.0, 1, 2]], [[1, 2, True]]):
+        functional = full_non_member["functional"] + [{"monomial": extra, "coeff": "7"}]
+        assert full_piece.verify(t3, {**full_non_member, "functional": functional}) is False, extra
     # the certificates as printed pass
     assert piece.verify(f, member) and slice_piece.verify(t3, non_member)
+    assert full_piece.verify(t3, full_non_member)
 
 
 def test_functional_not_in_printed_form_is_rejected():

@@ -45,6 +45,34 @@ def test_minor_term_count_is_factorial(r):
     assert all(abs(c) == 1 for c in m.terms.values())
 
 
+def leibniz(n, rows, cols):
+    """The minor as the signed sum over permutations, one term each."""
+    terms = {}
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        mon = tuple(((r, cols[k]), 1) for r, k in zip(rows, perm))
+        terms[mon] = -1 if inversions % 2 else 1
+    return Polynomial(n, terms)
+
+
+def test_minor_is_the_leibniz_expansion():
+    # past the sympy oracle's n <= 4: every size-5 and size-6 minor of n = 6,
+    # from a cold cache and again after every smaller minor is cached
+    n = 6
+    sets = {r: list(itertools.combinations(range(1, n + 1), r)) for r in range(1, n + 1)}
+    large = [(R, C) for r in (5, 6) for R in sets[r] for C in sets[r]]
+    minor.cache_clear()
+    for R, C in large:
+        assert minor(n, R, C) == leibniz(n, R, C), (R, C)
+    minor.cache_clear()
+    for r in range(1, 5):
+        for R in sets[r]:
+            for C in sets[r]:
+                minor(n, R, C)
+    for R, C in large:
+        assert minor(n, R, C) == leibniz(n, R, C), (R, C)
+
+
 def test_minor_validation():
     with pytest.raises(ValueError):
         minor(2, (1, 2), (1,))

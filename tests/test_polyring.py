@@ -190,6 +190,11 @@ def test_mon_from_record_reads_only_the_printed_form():
         [[0, 1, 1]],
         [[1, 4, 1]],
         [[1, 1]],
+        [[1.0, 1, 2]],  # a float or a bool is no printed int
+        [[1, 2, 1.5]],
+        [[1, 1, 2.0]],
+        [[True, 1, 1]],
+        [[1, 2, True]],
     ):
         with pytest.raises(ValueError):
             mon_from_record(3, bad)

@@ -6,7 +6,7 @@ import pytest
 
 from orbitideals import minors
 from orbitideals.linalg import TriangularBasis
-from orbitideals.minors import family_rank, minor_sum_family, principal_minor_sum
+from orbitideals.minors import family_rank, minor_sum_basis, minor_sum_family, principal_minor_sum
 from orbitideals.polyring import term_key
 from orbitideals.schur import dimension_table, layer_basis, layer_dimension, layer_tags
 
@@ -48,6 +48,24 @@ def test_rank_steps_equal_layer_dimensions():
             # past the stable depth the span stops growing
             for i in range(min(p, n - p) + 1, n + 1):
                 assert family_rank(n, i, p) == family_rank(n, i - 1, p)
+
+
+def expanded_greedy(n, i, p):
+    """The members of `minor_sum_family` that raise the rank, decided by
+    elimination on their expanded terms."""
+    basis = TriangularBasis()
+    return tuple(poly for _, poly in minor_sum_family(n, i, p) if basis.insert(columns(poly)))
+
+
+def test_sign_vectors_decide_as_the_expansion_does():
+    # distinct minors share no monomial, so the greedy choice on sign vectors
+    # over the minors is the greedy choice on expanded terms
+    for n in range(1, 6 if LARGE else 5):
+        for p in range(1, n + 1):
+            for i in range(0, n + 1):
+                kept = expanded_greedy(n, i, p)
+                assert minor_sum_basis(n, i, p) == kept, (n, i, p)
+                assert family_rank(n, i, p) == len(kept), (n, i, p)
 
 
 def test_layer_basis_examples():
@@ -141,5 +159,7 @@ def test_layer_tags_expand_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(minors, "minor", refuse)
     layer_tags.cache_clear()
+    minors._kept_pairs.cache_clear()
     assert len(layer_tags(7, 3)) == layer_dimension(7, 3)
+    assert family_rank(7, 3, 4) == comb(7, 3) ** 2 == 1225
 
