@@ -141,49 +141,54 @@ def monomials_of_weight(n: int, d: int, weight) -> list[Mon]:
     descending canonical order of `monomials_of_degree`.
 
     Enumerated directly, choosing exponents variable by variable in (row,
-    col) order, largest first.  A branch is cut as soon as the weight still
-    to be made up is out of reach: each further unit of degree lowers the
-    sum of its positive parts by at most one, a positive part needs a
+    col) order, largest first; a variable passed over with exponent 0 is a
+    step of a loop, not a recursion.  A branch is cut as soon as the weight
+    still to be made up is out of reach: each further unit of degree lowers
+    the sum of its positive parts by at most one, a positive part needs a
     variable left in its row, and a negative part one left in its column.
+    Choosing x_rc changes only parts r and c, so the sum is kept as a
+    running total and only those two parts are checked.
     """
     rem = list(weight)
     chosen: list[tuple[Var, int]] = []
     out: list[Mon] = []
 
-    def reachable(k: int, left: int) -> bool:
-        # variables k, k+1, ... (row-major, 0-based) are still to be chosen
-        row, col = divmod(k, n)
-        if sum(v for v in rem if v > 0) > left:
-            return False
-        for j, v in enumerate(rem):
-            if v > 0 and j < row:
-                return False
-            if v < 0 and row == n - 1 and j < col:
-                return False
-        return True
+    def extend(k: int, left: int, pos: int):
+        # variables k, k+1, ... (row-major, 0-based) are still to be chosen;
+        # pos is the sum of the positive parts of rem
+        for k in range(k, n * n):
+            r, c = divmod(k, n)
+            row = (k + 1) // n  # the row of the next variable
+            last = r == row == n - 1
+            for e in range(left, 0, -1):
+                a, b = rem[r], rem[c]
+                p = pos
+                if r != c:
+                    rem[r], rem[c] = a - e, b + e
+                    if a > 0:
+                        p -= e if e < a else a
+                    if b + e > 0:
+                        p += e if b >= 0 else b + e
+                # parts r and c are out of reach if no later variable changes
+                # them (the same test closes the loop, for exponent 0)
+                if p <= left - e and not (
+                    (c < row and rem[c] > 0) or (r < row and rem[r] > 0) or (last and rem[c] < 0)
+                ):
+                    chosen.append(((r + 1, c + 1), e))
+                    if e < left:
+                        extend(k + 1, left - e, p)
+                    elif not any(rem):
+                        out.append(tuple(chosen))
+                    chosen.pop()
+                rem[r], rem[c] = a, b
+            if (c < row and rem[c] > 0) or (r < row and rem[r] > 0) or (last and rem[c] < 0):
+                return
 
-    def extend(k: int, left: int):
-        if left == 0:
-            if not any(rem):
-                out.append(tuple(chosen))
-            return
-        if k == n * n:
-            return
-        r, c = divmod(k, n)
-        for e in range(left, 0, -1):
-            rem[r] -= e
-            rem[c] += e
-            if reachable(k + 1, left - e):
-                chosen.append(((r + 1, c + 1), e))
-                extend(k + 1, left - e)
-                chosen.pop()
-            rem[r] += e
-            rem[c] -= e
-        if reachable(k + 1, left):
-            extend(k + 1, left)
-
-    if reachable(0, d):
-        extend(0, d)
+    pos = sum(v for v in rem if v > 0)
+    if d == 0:
+        return [] if any(rem) else [()]
+    if pos <= d:
+        extend(0, d, pos)
     return out
 
 

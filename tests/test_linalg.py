@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitideals.linalg import TriangularBasis, apply_functional
 
@@ -142,16 +143,22 @@ def test_membership_decision_matches_recombination(rows, coeffs):
 
 
 class FractionBasis:
-    """Reference eliminator: TriangularBasis as it was when every coefficient
-    was a Fraction and provenance was divided by the lead on every update.
-    Columns are ints ordered by value.  A new row is reduced only at its
-    lead, as TriangularBasis stores it; with `full=True` it is fully
-    reduced, as TriangularBasis stored it before."""
+    """Reference eliminator: every coefficient is a Fraction, a query is
+    reduced by dividing each work coefficient by the row's lead, and
+    provenance is updated in Fractions.  Columns are ints ordered by value.
+    A new row is reduced only at its lead, as TriangularBasis stores it;
+    with `full=True` it is fully reduced.  A stored row is scaled to
+    TriangularBasis's form, primitive integral with a positive lead, and its
+    provenance is scaled to match and stored as TriangularBasis stores it:
+    ints over one positive denominator coprime to them, kept in `den` where
+    it is not 1."""
 
-    def __init__(self, full=False):
+    def __init__(self, full=False, track=True):
         self.full = full
+        self.track = track  # read by GradedPiece; provenance is always kept
         self.rows: dict = {}
         self.prov: dict = {}
+        self.den: dict = {}
 
     def reduce(self, vec, lead_only=False):
         work = {col: Fraction(v) for col, v in vec.items() if v}
@@ -167,6 +174,7 @@ class FractionBasis:
                     residual.update(work)
                     break
                 continue
+            c = c / row[col]
             combo[col] = c
             for col2, v in row.items():
                 if col2 != col:
@@ -182,24 +190,30 @@ class FractionBasis:
         if not residual:
             return False
         pivot = max(residual)
+        # the primitive integral multiple of the residual with a positive lead
         lead = Fraction(residual[pivot])
-        self.rows[pivot] = {col: Fraction(v) / lead for col, v in residual.items()}
-        prov = {tag: Fraction(1) / lead}
-        for piv, c in combo.items():
-            for t, pc in self.prov[piv].items():
-                nv = prov.get(t, 0) - Fraction(c) * pc / lead
-                if nv:
-                    prov[t] = nv
-                else:
-                    prov.pop(t, None)
-        self.prov[pivot] = prov
+        monic = {col: Fraction(v) / lead for col, v in residual.items()}
+        numer = lcm(*(v.denominator for v in monic.values()))
+        scale = Fraction(numer, gcd(*(int(v * numer) for v in monic.values()))) / lead
+        self.rows[pivot] = {col: int(v * scale) for col, v in residual.items()}
+        prov = {tag: scale}
+        for t, pc in self.provenance_of(combo).items():
+            nv = prov.get(t, 0) - pc * scale
+            if nv:
+                prov[t] = nv
+            else:
+                prov.pop(t, None)
+        den = lcm(*(v.denominator for v in prov.values()))
+        self.prov[pivot] = {t: int(v * den) for t, v in prov.items()}
+        if den != 1:
+            self.den[pivot] = den
         return True
 
     def provenance_of(self, combo):
         out: dict = {}
         for piv, c in combo.items():
             for t, pc in self.prov[piv].items():
-                out[t] = out.get(t, 0) + c * pc
+                out[t] = out.get(t, 0) + c * Fraction(pc, self.den.get(piv, 1))
         return {t: v for t, v in out.items() if v}
 
     def annihilator(self, free_column):
@@ -210,13 +224,53 @@ class FractionBasis:
                 if col != piv and col in lam:
                     s += v * lam[col]
             if s:
-                lam[piv] = -s
+                lam[piv] = -s / self.rows[piv][piv]
         return lam
+
+
+def assert_primitive_rows(basis):
+    for piv, row in basis.rows.items():
+        assert all(type(v) is int for v in row.values()), row
+        assert row[piv] > 0 and gcd(*row.values()) == 1, row
+        assert max(row) == piv
 
 
 def assert_int_unless_fractional(values):
     for v in values:
         assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
+def check_matches_reference(rows, probe):
+    basis = make_basis(track=True)
+    ref = FractionBasis()
+    for tag, row in enumerate(rows):
+        vec = {j: v for j, v in enumerate(row) if v}
+        assert basis.insert(vec, tag) == ref.insert(vec, tag)
+    assert basis.rank == len(ref.rows)
+    assert set(basis.rows) == set(ref.rows)
+    assert basis.rows == ref.rows
+    assert basis.prov == ref.prov
+    assert basis.den == ref.den
+    assert_primitive_rows(basis)
+    assert all(type(d) is int and d > 1 for d in basis.den.values()), basis.den
+    for piv, prov in basis.prov.items():
+        assert all(type(v) is int for v in prov.values()), prov
+        assert gcd(basis.den.get(piv, 1), *prov.values()) == 1
+    vec = {j: v for j, v in enumerate(probe) if v}
+    residual, combo = basis.reduce(vec)
+    ref_residual, ref_combo = ref.reduce(vec)
+    assert residual == ref_residual
+    assert combo == ref_combo
+    assert basis.contains(vec) == (not ref_residual)
+    assert basis.provenance_of(combo) == ref.provenance_of(ref_combo)
+    assert_int_unless_fractional(residual.values())
+    assert_int_unless_fractional(combo.values())
+    assert_int_unless_fractional(basis.provenance_of(combo).values())
+    for col in range(len(probe)):
+        if col not in basis.rows:
+            lam = basis.annihilator(col)
+            assert lam == ref.annihilator(col)
+            assert_int_unless_fractional(lam.values())
 
 
 @settings(max_examples=200)
@@ -229,27 +283,26 @@ def assert_int_unless_fractional(values):
     st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
 )
 def test_matches_fraction_reference(rows, probe):
-    basis = make_basis(track=True)
-    ref = FractionBasis()
-    for tag, row in enumerate(rows):
-        vec = {j: v for j, v in enumerate(row) if v}
-        assert basis.insert(vec, tag) == ref.insert(vec, tag)
-    assert basis.rank == len(ref.rows)
-    assert set(basis.rows) == set(ref.rows)
-    assert basis.rows == ref.rows
-    assert basis.prov == ref.prov
-    for piv in basis.rows:
-        assert_int_unless_fractional(basis.rows[piv].values())
-        assert_int_unless_fractional(basis.prov[piv].values())
-    vec = {j: v for j, v in enumerate(probe) if v}
-    residual, combo = basis.reduce(vec)
-    ref_residual, ref_combo = ref.reduce(vec)
-    assert residual == ref_residual
-    assert combo == ref_combo
-    assert basis.provenance_of(combo) == ref.provenance_of(ref_combo)
-    for col in range(5):
-        if col not in basis.rows:
-            assert basis.annihilator(col) == ref.annihilator(col)
+    check_matches_reference(rows, probe)
+
+
+entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=6),
+    st.lists(entries, min_size=4, max_size=4),
+)
+@example(rows=[[Fraction(2, 1), 1, 0, 0], [Fraction(1, 2), 0, 1, 0]], probe=[Fraction(2, 1), 0, 0, 1])
+@example(rows=[[0, 0, Fraction(2, 3), Fraction(4, 3)]], probe=[0, 0, 1, Fraction(1, 2)])
+def test_rational_entries_match_fraction_reference(rows, probe):
+    # denominators are cleared once, on entry; a Fraction with denominator 1
+    # is read as its int
+    check_matches_reference(rows, probe)
 
 
 @settings(max_examples=200)
@@ -297,16 +350,17 @@ def test_non_integral_row_certificates():
     basis = make_basis(track=True)
     a, b = {1: 2, 0: 1}, {2: 1, 1: 1}
     assert basis.insert(a, "a")
-    assert basis.rows[1] == {1: 1, 0: Fraction(1, 2)}
-    assert type(basis.rows[1][1]) is int
-    assert basis.prov[1] == {"a": Fraction(1, 2)}
+    assert basis.rows[1] == {1: 2, 0: 1}  # the lead 2 is kept, not divided out
+    assert_primitive_rows(basis)
+    assert basis.prov[1] == {"a": 1} and 1 not in basis.den  # a denominator 1 is not kept
     assert basis.insert(b, "b")
     lam = basis.annihilator(0)
+    assert lam == {0: 1, 1: Fraction(-1, 2), 2: Fraction(1, 2)}
     assert apply_functional(lam, a) == 0 and apply_functional(lam, b) == 0
     assert apply_functional(lam, {0: 1}) == 1
-    target = {2: 2, 1: 4, 0: 1}  # 2b + a, reduced through the row with 1/2
+    target = {2: 2, 1: 4, 0: 1}  # 2b + a, reduced through the row with lead 2
     residual, combo = basis.reduce(target)
-    assert not residual and 1 in combo
+    assert not residual and combo == {2: 2, 1: 1}
     prov = basis.provenance_of(combo)
     assert prov == {"a": 1, "b": 2}
     rebuilt: dict = {}
@@ -314,3 +368,23 @@ def test_non_integral_row_certificates():
         for col, v in {"a": a, "b": b}[tag].items():
             rebuilt[col] = rebuilt.get(col, 0) + c * v
     assert {k: v for k, v in rebuilt.items() if v} == target
+    # a lead that does not divide the query's entry scales the work vector
+    residual, combo = basis.reduce({1: 1, 0: 1})
+    assert residual == {0: Fraction(1, 2)} and combo == {1: Fraction(1, 2)}
+    assert basis.provenance_of(combo) == {"a": Fraction(1, 2)}
+
+
+def test_provenance_keeps_one_denominator_per_row():
+    basis = make_basis(track=True)
+    assert basis.insert({1: 1}, "a")
+    assert basis.insert({1: 1, 0: 2}, "b")  # (b - a) / 2 is primitive
+    assert basis.rows[0] == {0: 1}
+    assert basis.prov[0] == {"b": 1, "a": -1} and basis.den[0] == 2
+    assert basis.insert({2: -3, 0: 1}, "c")  # a negative lead is made positive
+    assert basis.rows[2] == {2: 3, 0: -1}
+    assert basis.prov[2] == {"c": -1} and basis.den == {0: 2}
+    residual, combo = basis.reduce({2: 3, 1: 1, 0: 1})
+    assert not residual and combo == {2: 1, 1: 1, 0: 2}
+    prov = basis.provenance_of(combo)
+    assert prov == {"b": 1, "c": -1}  # the target is b - c
+    assert_primitive_rows(basis)

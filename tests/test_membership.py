@@ -18,11 +18,13 @@ from orbitideals.membership import (
     verify_minimal,
     verify_minor_space_certificate,
     verify_redundant,
+    verify_rel1,
 )
 from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
 from orbitideals.partitions import Partition, excluded_depths, minimal_schedule, partitions_of
 from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, term_key
 from orbitideals.schur import layer_basis
+from test_linalg import FractionBasis
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
@@ -703,3 +705,27 @@ def test_inhomogeneous_generator_gives_one_block():
     f = principal_minor_sum(3, 2) + Polynomial.variable(3, 1, 1) * Polynomial.variable(3, 2, 3)
     piece, _ = assert_blocks_match_whole_piece(3, [homogeneous[0], odd], f)
     assert len(piece.rows) == 2 * 9  # both generators times every degree-1 monomial
+
+
+# -- certificates against the stored form of the rows -------------------------
+
+
+def certificate_reports():
+    reports = [
+        verify_redundant(mu, i)
+        for n in range(1, 6)
+        for mu in partitions_of(n)
+        for i in excluded_depths(mu)
+    ]
+    reports.append(verify_rel1(4))
+    reports += [verify_minimal(mu) for n in range(1, 5) for mu in partitions_of(n)]
+    return reports
+
+
+def test_certificates_do_not_depend_on_row_normalization(monkeypatch):
+    # every certificate is fixed by the span and the column order, so the
+    # integral rows and the Fraction reference print the same reports
+    default = certificate_reports()
+    assert any(r.get("verdicts") for r in default)
+    monkeypatch.setattr(membership, "TriangularBasis", FractionBasis)
+    assert certificate_reports() == default
