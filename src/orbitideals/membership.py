@@ -57,7 +57,7 @@ from .polyring import (
     term_key,
     unpack,
 )
-from .schur import layer_basis, layer_tags
+from .schur import highest_weight_vector, is_highest_weight, layer_basis, layer_dimension, layer_tags
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -323,9 +323,11 @@ def scheduled_generators(mu: Partition, before_depth: int | None = None):
 def verify_redundant(mu: Partition, i: int) -> dict:
     """Certify that the `layer_basis(n, i, p)` representatives of the
     excluded depth i lie in the ideal of the invariants and the scheduled
-    spaces of smaller depth.  They span V(i,p) only together with V(i-1,p),
-    so `all_member` proves V(i,p) in the ideal only given V(i-1,p) in it,
-    which no check certifies yet (ROADMAP item 10).
+    spaces of smaller depth, one query per representative.  They span
+    V(i,p) only together with V(i-1,p), so `all_member` proves V(i,p) in
+    the ideal only given V(i-1,p) in it; the `excluded` check of
+    `verify_minimal` certifies all of V(i,p) from highest-weight vectors
+    instead, and this per-candidate report is its test oracle.
 
     Returns the JSON-ready report: `partition`, `i`, the size `p`,
     `zero_space`, the earlier `generators` by label, one `verdicts` entry
@@ -441,6 +443,70 @@ def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
     return candidate.evaluate(point) != 0
 
 
+def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
+    """The highest-weight queries (k, q, layers) that certify V(i,p), p the
+    critical size of the excluded depth i, in the ideal I of the scheduled
+    generators of depth < i: h_k at size q (`schur.highest_weight_vector`)
+    is to lie in the ideal of the representatives of `layers`, each a
+    generator layer (j, size).
+
+    V(k,q) is V(k-1,q) plus its layer L_k(q), and L_k(q) lies in a
+    GL_n-stable ideal once its highest-weight vector h_k(q) does
+    (`schur.is_highest_weight`).  Each needed layer is shown in I one of
+    four ways:
+    - t_q with q <= mu_1 is a generator, and a zero layer is nothing;
+    - a scheduled layer (k, q): its representatives are generators and span
+      V(k,q) together with V(k-1,q), so the layers below it at size q are
+      needed in its place;
+    - an excluded depth k at its critical size q (the top layer of V(i,p)
+      among them): h_k(q) against the scheduled layers of depth < k;
+    - otherwise a degree-1 step: h_k(q) against the layers of
+      V(max(k,1), q-1), whose span is GL-stable, so L_k(q) lies in the
+      ideal of V(max(k,1), q-1), whose layers are needed in turn.
+    Sizes only fall along a chain of steps, and a depth-k chain ends at
+    k's critical size, so the recursion ends.  The chain of each depth
+    j < i runs from p down to p_j, so it reaches every scheduled layer
+    (j, p_j) below i and needs the layers under it: these steps show that
+    the scheduled representatives generate the GL_n-stable ideal of their
+    spans, without which a query against them proves nothing about whole
+    layers.  For (3,3,1) there are five queries where one per
+    representative made 392.  Sorted by size, then layer, both descending,
+    so the top layer comes first."""
+    n, schedule = mu.n, minimal_schedule(mu)
+    queries: list[tuple] = []
+    seen: set = set()
+
+    def need(k: int, q: int):
+        if (k, q) in seen or minor_space_vanishes(n, k, q) or (not k and q <= mu[0]):
+            return
+        seen.add((k, q))
+        if (k, q) in schedule:
+            below = [(j, q) for j in range(k)]
+        elif k and q == mu.critical_size(k):
+            queries.append((k, q, tuple(layer for layer in schedule if layer[0] < k)))
+            below = []
+        else:
+            below = [(j, q - 1) for j in range(max(k, 1) + 1) if not minor_space_vanishes(n, j, q - 1)]
+            queries.append((k, q, tuple(below)))
+        for layer in below:
+            need(*layer)
+
+    p = mu.critical_size(i)
+    for k in range(i, -1, -1):
+        need(k, p)
+    return sorted(queries, key=lambda query: (-query[1], -query[0]))
+
+
+def _query_status(n: int, k: int, q: int, layers) -> str:
+    """The status of one highest-weight query: its verdict's, once
+    `is_highest_weight` accepts h_k(q) and `GradedPiece.verify` accepts the
+    verdict's certificate, and "unverified" otherwise."""
+    h = highest_weight_vector(n, k, q)
+    piece = GradedPiece(n, [g for j, size in layers for g in layer_basis(n, j, size)], q)
+    verdict = piece.contains(h)
+    return verdict["status"] if is_highest_weight(h, k) and piece.verify(h, verdict) else "unverified"
+
+
 def verify_minimal(mu: Partition) -> dict:
     """Verify the minimal schedule end to end at desk scale.
 
@@ -448,15 +514,21 @@ def verify_minimal(mu: Partition) -> dict:
     at the Jordan matrices of witness orbits; invariants are checked against
     the remaining generators by the graded oracle, whose verdict is the
     check's `detail` and counts only once `GradedPiece.verify` accepts its
-    certificate (status "unverified" otherwise); excluded depths get their
-    `layer_basis` representatives certified members (see `verify_redundant`),
-    and each combination is re-checked the same way.
-    Inconclusive outcomes are reported, never silenced.
+    certificate (status "unverified" otherwise).  An excluded depth i with a
+    nonzero layer at its size p is certified from highest-weight vectors:
+    the queries of `_excluded_queries` show all of V(i,p), not only its
+    `layer_basis` representatives, in the ideal of the scheduled generators
+    of depth < i.  Each query counts once `GradedPiece.verify` accepts its
+    combination and `schur.is_highest_weight` its vector; its `detail` keeps
+    `zero_space` and `candidates` (the layer dimension, 0 for a zero space)
+    and lists the `queries` {layer, p, generators, status}, the generators
+    by layer.  Inconclusive outcomes are reported, never silenced.
 
     Returns the JSON-ready report: `partition`, `n`, one `checks` entry
     per claim (see `_check`), minor spaces first, then invariants, then
     excluded depths, and `ok` when every check holds.
     """
+    n = mu.n
     layers = minimal_schedule(mu)
     checks: list[dict] = []
 
@@ -470,17 +542,28 @@ def verify_minimal(mu: Partition) -> dict:
     for k, p in enumerate(p for i, p in layers if not i):
         f, others = gens[k], gens[:k] + gens[k + 1 :]
         verdict = ideal_contains(f, others)
-        certified = GradedPiece(mu.n, others, p, diagonal="slice" in verdict).verify(f, verdict)
+        certified = GradedPiece(n, others, p, diagonal="slice" in verdict).verify(f, verdict)
         checks.append(_check("invariant", 0, p, NON_MEMBER, verdict["status"] if certified else "unverified", verdict))
 
     for i in excluded_depths(mu):
-        report = verify_redundant(mu, i)
-        status = MEMBER if report["all_member"] else "mismatch"
-        if report["verdicts"]:
-            piece = GradedPiece(mu.n, scheduled_generators(mu, before_depth=i)[1], report["p"])
-            if not all(map(piece.verify, layer_basis(mu.n, i, report["p"]), report["verdicts"])):
-                status = "unverified"
-        detail = {"zero_space": report["zero_space"], "candidates": report["candidates"]}
-        checks.append(_check("excluded", i, report["p"], MEMBER, status, detail))
+        p = mu.critical_size(i)
+        zero = minor_space_vanishes(n, i, p)
+        detail = {"zero_space": zero, "candidates": 0 if zero else layer_dimension(n, i)}
+        status = MEMBER
+        if not zero:
+            queries = [
+                {
+                    "layer": k,
+                    "p": q,
+                    "generators": [_layer_name(j, size) for j, size in against],
+                    "status": _query_status(n, k, q, against),
+                }
+                for k, q, against in _excluded_queries(mu, i)
+            ]
+            found = {entry["status"] for entry in queries}
+            if found != {MEMBER}:
+                status = "unverified" if "unverified" in found else "mismatch"
+            detail["queries"] = queries
+        checks.append(_check("excluded", i, p, MEMBER, status, detail))
 
-    return {"partition": str(mu), "n": mu.n, "checks": checks, "ok": all(c["ok"] for c in checks)}
+    return {"partition": str(mu), "n": n, "checks": checks, "ok": all(c["ok"] for c in checks)}

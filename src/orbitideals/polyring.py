@@ -394,3 +394,36 @@ class Polynomial:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def raising_derivation(f: Polynomial, a: int) -> Polynomial:
+    """E_{a,a+1} applied to f: the derivative at t = 0 of f(X + t[X, E]),
+    E the matrix unit at (a+1, a), that is of f conjugated by 1 - tE.
+
+    It sends x_{r,a} to x_{r,a+1} and x_{a+1,c} to -x_{a,c}, each a step of
+    e_a - e_{a+1} in torus weight, and extends to products as a derivation,
+    so it raises the weight of f by e_a - e_{a+1}.  A GL_n-stable space is
+    stable under it, and a weight vector that E_{1,2}..E_{n-1,n} all kill
+    is a highest-weight vector (`schur.is_highest_weight`)."""
+    n, b = f.n, a + 1
+    if not 1 <= a < n:
+        raise ValueError(f"raising index must lie in 1..{n - 1}")
+    out: dict[Mon, int] = {}
+
+    def add(mon: Mon, old: Var, new: Var, c: int):
+        exps = dict(mon)
+        if exps[old] == 1:
+            del exps[old]
+        else:
+            exps[old] -= 1
+        exps[new] = exps.get(new, 0) + 1
+        key = tuple(sorted(exps.items()))
+        out[key] = out.get(key, 0) + c
+
+    for mon, c in f.terms.items():
+        for (r, s), e in mon:
+            if s == a:
+                add(mon, (r, s), (r, b), e * c)
+            if r == b:
+                add(mon, (r, s), (a, s), -e * c)
+    return Polynomial(n, out)

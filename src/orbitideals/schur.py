@@ -28,6 +28,12 @@ choice over expanded sums.
 
 Depth 0 is a layer like the others: its one tag is ((), ()), whose sum at
 size p is the invariant t_p, so a generator list is a walk over layers.
+
+The depth-k layer is the irreducible module of highest weight
+e_1 + .. + e_k - e_{n-k+1} - .. - e_n, and the prefixed sum of
+((1..k), (n-k+1..n)) is its highest-weight vector (`highest_weight_vector`,
+checked by `is_highest_weight`).  A GL_n-stable ideal holds the layer
+exactly when it holds that one vector.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from functools import lru_cache
 from math import comb
 
 from .minors import independent_pairs, prefix_pairs, prefixed_minor_sum
-from .polyring import Polynomial
+from .polyring import Polynomial, mon_weight, raising_derivation
 
 
 def layer_dimension(n: int, j: int) -> int:
@@ -98,3 +104,33 @@ def layer_basis(n: int, i: int, p: int) -> tuple[Polynomial, ...]:
             f"layer ({i},{p}) at n={n}: rank step {len(kept)} != {expected}"
         )
     return kept
+
+
+def highest_weight_vector(n: int, k: int, p: int) -> Polynomial:
+    """h_k at size p: the prefixed sum of ((1..k), (n-k+1..n)), a vector of
+    the depth-k layer of weight e_1 + .. + e_k - e_{n-k+1} - .. - e_n;
+    h_0 is t_p."""
+    return prefixed_minor_sum(n, tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1)), p)
+
+
+def is_highest_weight(f: Polynomial, k: int) -> bool:
+    """Whether f is a nonzero vector of weight lambda_k, the weight of
+    `highest_weight_vector(f.n, k, p)`, that the simple raising derivations
+    E_{a,a+1} (`polyring.raising_derivation`) all kill.
+
+    Such an f in V(k,p) generates its depth-k layer.  Under GL_n it spans
+    an irreducible module of highest weight lambda_k = (1^k, 0, (-1)^k),
+    of dimension C(n,k)^2 - C(n,k-1)^2 = dim V(k,p) - dim V(k-1,p).  No
+    vector of V(k-1,p) has weight lambda_k, whose positive part has size k
+    (a depth-(k-1) sum has weight e_P - e_Q with |P| = k-1), so
+    V(k,p) = V(k-1,p) + that module, a direct sum.  A GL_n-stable ideal is
+    stable under every derivation of the action, so it holds the layer as
+    soon as it holds f.  Only linear algebra in one degree is involved, no
+    ideal."""
+    n = f.n
+    if f.is_zero() or not 0 <= k <= n // 2:
+        return False
+    weight = (1,) * k + (0,) * (n - 2 * k) + (-1,) * k
+    if any(mon_weight(n, mon) != weight for mon in f.terms):
+        return False
+    return all(raising_derivation(f, a).is_zero() for a in range(1, n))

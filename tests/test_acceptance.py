@@ -145,6 +145,35 @@ def test_criterion_5_minimality():
     _report("5 minimality certificates", elapsed)
 
 
+def test_criterion_5_minimality_at_n6_and_n7():
+    # every mu of 6 in one sweep, then the two shapes of 7 whose excluded
+    # depths are nonzero, each timed on its own; each nonzero excluded depth
+    # is certified by highest-weight queries.  The large suite adds every
+    # other mu of 7.
+    sevens = [Partition((2, 2, 2, 1)), Partition((3, 3, 1))]
+    if LARGE:
+        sevens += [mu for mu in partitions_of(7) if mu not in sevens]
+
+    def check(mu):
+        report = verify_minimal(mu)
+        assert report["ok"], (mu, [c for c in report["checks"] if not c["ok"]])
+        for c in report["checks"]:
+            if c["kind"] == "excluded" and not c["detail"]["zero_space"]:
+                assert c["detail"]["queries"][0]["layer"] == c["i"]
+                assert all(q["status"] == MEMBER for q in c["detail"]["queries"])
+
+    t0 = time.time()
+    for mu in partitions_of(6):
+        check(mu)
+    _report("5 minimality of every mu of 6", time.time() - t0)
+    for mu in sevens:
+        t0 = time.time()
+        check(mu)
+        elapsed = time.time() - t0
+        assert elapsed < 60.0
+        _report(f"5 minimality of {mu}", elapsed)
+
+
 def test_criterion_6_redundancy():
     t0 = time.time()
     nonzero = {}  # (mu, i) -> candidates, for the nonzero excluded spaces

@@ -284,6 +284,42 @@ def test_schema_types_every_printed_verdict(capsys):
     assert any(c["kind"] == "minor_space" and "status" not in c["detail"] for c in checks)
 
 
+def test_schema_types_the_excluded_detail(capsys):
+    # every highest-weight query of the excluded depth 2 of (2,2,1) validates,
+    # and a detail that breaks the typing does not
+    code, out, _ = run(capsys, "verify", "--partition", "2,2,1", "--json")
+    assert code == 0
+    report = validate_report(out)
+    checks = report["minimality"]["checks"]
+    k = next(k for k, c in enumerate(checks) if c["kind"] == "excluded")
+    detail = checks[k]["detail"]
+    assert [(q["layer"], q["p"], q["generators"], q["status"]) for q in detail["queries"]] == [
+        (2, 3, ["t_1", "t_2", "U_(1,2)"], "member"),
+        (1, 3, ["t_2", "U_(1,2)"], "member"),
+        (0, 3, ["t_2", "U_(1,2)"], "member"),
+    ]
+    assert (detail["zero_space"], detail["candidates"]) == (False, 75)
+    first = detail["queries"][0]
+    changes = [{"zero_space": True}, {"queries": []}, {"candidates": -1}, {"extra": 1}]
+    changes += [
+        {"queries": [{**first, **change}]}
+        for change in ({"status": "consistent_non_member"}, {"layer": -1}, {"generators": ["V(1,2)"]}, {"extra": 1})
+    ]
+    changes.append({"queries": [{k: v for k, v in first.items() if k != "status"}]})
+    for change in changes:
+        broken = [*checks[:k], {**checks[k], "detail": {**detail, **change}}, *checks[k + 1 :]]
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(json.dumps({**report, "minimality": {**report["minimality"], "checks": broken}}))
+    no_queries = {key: v for key, v in detail.items() if key != "queries"}
+    broken = [*checks[:k], {**checks[k], "detail": no_queries}, *checks[k + 1 :]]
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(json.dumps({**report, "minimality": {**report["minimality"], "checks": broken}}))
+    # a zero-space detail keeps its two keys and no queries
+    code, out, _ = run(capsys, "verify", "minimal", "--partition", "2,2", "--json")
+    (zero,) = [c for c in validate_report(out)["minimality"]["checks"] if c["kind"] == "excluded"]
+    assert zero["detail"] == {"zero_space": True, "candidates": 0}
+
+
 def test_membership_rel1(capsys):
     code, out, _ = run(capsys, "membership", "--rel1", "--n", "3", "--json")
     assert code == 0

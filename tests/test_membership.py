@@ -21,7 +21,7 @@ from orbitideals.membership import (
     verify_rel1,
 )
 from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
-from orbitideals.partitions import Partition, excluded_depths, minimal_schedule, partitions_of
+from orbitideals.partitions import Partition, excluded_depths, minimal_schedule, minor_space_vanishes, partitions_of
 from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, term_key
 from orbitideals.schur import layer_basis
 from test_linalg import FractionBasis
@@ -145,23 +145,151 @@ def _first_combination_zeroed(verdict):
 
 @pytest.mark.parametrize("forge", [_without_certificate, _first_combination_zeroed])
 def test_excluded_check_rests_on_its_certificates(monkeypatch, forge):
-    # a `member` status alone does not pass: every combination of the
-    # excluded depth 2 of (2,2,1) is re-checked, and one forged fails
+    # a `member` status alone does not pass: each of the three highest-weight
+    # queries of the excluded depth 2 of (2,2,1) is re-checked, and the one
+    # forged reads `unverified`, as do its check and the report
     mu = Partition((2, 2, 1))
-    assert verify_minimal(mu)["ok"]
-    honest = membership.verify_redundant
+    honest_report = verify_minimal(mu)
+    assert honest_report["ok"]
+    honest = GradedPiece.contains
+    for target in range(3):
+        members = []  # the member verdicts with a combination, in order
 
-    def forged(mu, i):
-        report = honest(mu, i)
-        first, *rest = report["verdicts"]
-        return {**report, "verdicts": [forge(first), *rest]}
+        def forged(piece, f):
+            verdict = honest(piece, f)
+            if verdict and verdict["status"] == MEMBER and verdict["combination"]:
+                members.append(f)
+                if len(members) - 1 == target:
+                    return forge(verdict)
+            return verdict
 
-    monkeypatch.setattr(membership, "verify_redundant", forged)
+        monkeypatch.setattr(GradedPiece, "contains", forged)
+        report = verify_minimal(mu)
+        (check,) = [c for c in report["checks"] if c["kind"] == "excluded"]
+        assert (check["i"], check["status"], check["ok"]) == (2, "unverified", False)
+        assert [q["status"] for q in check["detail"]["queries"]] == [
+            "unverified" if k == target else MEMBER for k in range(3)
+        ]
+        assert not report["ok"]
+        # the other checks are untouched: no invariant verdict is a member
+        assert [c for c in report["checks"] if c["kind"] != "excluded"] == [
+            c for c in honest_report["checks"] if c["kind"] != "excluded"
+        ]
+    assert len(members) == 3
+
+
+def test_excluded_check_rests_on_highest_weight_vectors(monkeypatch):
+    # the queries must be highest-weight vectors: the depth-k sum of
+    # ((1..k), (1..k)) in place of h_k has weight 0, so every query of a layer
+    # k >= 1 reads `unverified` whatever its verdict, while t_p = h_0 passes
+    mu = Partition((2, 2, 1))
+    bad = lambda n, k, p: prefixed_minor_sum(n, tuple(range(1, k + 1)), tuple(range(1, k + 1)), p)
+    monkeypatch.setattr(membership, "highest_weight_vector", bad)
     report = verify_minimal(mu)
     (check,) = [c for c in report["checks"] if c["kind"] == "excluded"]
-    assert (check["i"], check["status"], check["ok"]) == (2, "unverified", False)
-    assert check["detail"] == {"zero_space": False, "candidates": 75}
-    assert not report["ok"]
+    assert [(q["layer"], q["status"]) for q in check["detail"]["queries"]] == [
+        (2, "unverified"),
+        (1, "unverified"),
+        (0, MEMBER),
+    ]
+    assert (check["status"], report["ok"]) == ("unverified", False)
+
+
+def test_excluded_check_agrees_with_the_per_candidate_oracle():
+    # for every mu of n <= 5 and every excluded depth, the highest-weight
+    # check and `verify_redundant`'s one query per representative agree
+    nonzero = []
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            checks = [c for c in verify_minimal(mu)["checks"] if c["kind"] == "excluded"]
+            assert [c["i"] for c in checks] == list(excluded_depths(mu))
+            for check in checks:
+                oracle = verify_redundant(mu, check["i"])
+                assert check["p"] == oracle["p"]
+                assert check["detail"]["zero_space"] == oracle["zero_space"]
+                assert check["detail"]["candidates"] == oracle["candidates"]
+                assert (check["status"] == MEMBER) == check["ok"] == oracle["all_member"]
+                if not oracle["zero_space"]:
+                    nonzero.append((mu, check["i"]))
+                    assert all(q["status"] == MEMBER for q in check["detail"]["queries"])
+                else:
+                    assert "queries" not in check["detail"]
+    assert nonzero == [(Partition((2, 2, 1)), 2)]
+
+
+def certified_layers(mu, i, queries) -> set:
+    """The layers (k, q) that the queries show in the ideal I of the
+    scheduled generators of depth < i, read as the certificate argument
+    reads them and derived to a fixed point, if every query is a member.
+
+    A layer is in I when it is t_q with q <= mu_1, or a scheduled layer
+    whose layers below are in I, or the target of a query whose ideal is
+    known: a step query's V(d, q-1), d >= max(k, 1), with all its layers in
+    I, or a top query's scheduled layers of depth < k, once each of them
+    spans its GL-stable V(j, p_j) in I (then I_span = I_sched)."""
+    n, schedule = mu.n, minimal_schedule(mu)
+    nonzero = lambda k, q: 1 <= q <= n and k <= min(q, n - q)
+    known = {(0, q) for q in range(1, mu[0] + 1)}
+    spans = lambda j, q: all((k, q) in known for k in range(j + 1) if nonzero(k, q))
+    while True:
+        new = {(j, q) for j, q in schedule if j < i and spans(j - 1, q)}
+        for k, q, layers in queries:
+            if q - 1 >= 1 and layers and all(size == q - 1 for _, size in layers):
+                d = max(j for j, _ in layers)
+                if d >= max(k, 1) and list(layers) == [(j, q - 1) for j in range(d + 1) if nonzero(j, q - 1)]:
+                    if spans(d, q - 1):
+                        new.add((k, q))
+            elif q == mu.critical_size(k) and list(layers) == [layer for layer in schedule if layer[0] < k]:
+                if all(spans(j, pj) for j, pj in layers if j):
+                    new.add((k, q))
+        if new <= known:
+            return known
+        known |= new
+
+
+def test_excluded_queries_certify_all_of_the_excluded_space():
+    # read independently of how they were found, the queries put every layer
+    # of V(i,p) in the ideal, and make it GL-stable, for every nonzero
+    # excluded depth of n <= 10 (no query is run here)
+    cases = 0
+    for n in range(2, 11):
+        for mu in partitions_of(n):
+            for i in excluded_depths(mu):
+                p = mu.critical_size(i)
+                if minor_space_vanishes(n, i, p):
+                    continue
+                cases += 1
+                queries = membership._excluded_queries(mu, i)
+                assert queries[0] == (i, p, tuple(layer for layer in minimal_schedule(mu) if layer[0] < i))
+                known = certified_layers(mu, i, queries)
+                assert all((k, p) in known for k in range(i + 1) if k <= min(p, n - p)), (mu, i)
+                assert all((j, q) in known for j, q in minimal_schedule(mu) if j < i), (mu, i)
+                # no query is spare: without any one of them the argument fails
+                for drop in range(len(queries)):
+                    rest = queries[:drop] + queries[drop + 1 :]
+                    assert not all((k, p) in certified_layers(mu, i, rest) for k in range(i + 1)), (mu, i, drop)
+    assert cases == 46
+
+
+def test_excluded_queries_of_two_shapes():
+    # (2,2,2,1): depth 3 at size 4 rests on its top layer, steps down to the
+    # excluded depth 2 at size 3, that depth's own top query, and the steps
+    # of V(1,q) down to the scheduled V(1,2) = span(t_2, U_(1,2))
+    queries = membership._excluded_queries(Partition((2, 2, 2, 1)), 3)
+    assert queries == [
+        (3, 4, ((0, 1), (0, 2), (1, 2))),
+        (2, 4, ((0, 3), (1, 3), (2, 3))),
+        (1, 4, ((0, 3), (1, 3))),
+        (0, 4, ((0, 3), (1, 3))),
+        (2, 3, ((0, 1), (0, 2), (1, 2))),
+        (1, 3, ((0, 2), (1, 2))),
+        (0, 3, ((0, 2), (1, 2))),
+    ]
+    # (3,2,2,1) at n = 8: the scheduled V(2,4) generates I_span only with
+    # V(1,4), which the steps to V(1,3) certify
+    queries = membership._excluded_queries(Partition((3, 2, 2, 1)), 3)
+    assert [(k, q) for k, q, _ in queries] == [(3, 5), (2, 5), (1, 5), (0, 5), (1, 4), (0, 4)]
+    assert queries[1][2] == ((0, 4), (1, 4), (2, 4))
 
 
 def test_verify_rel1_needs_two_rows():

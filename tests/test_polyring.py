@@ -14,6 +14,7 @@ from orbitideals.polyring import (
     monomials_of_degree,
     monomials_of_weight,
     pack,
+    raising_derivation,
     term_key,
     unpack,
 )
@@ -298,3 +299,32 @@ def test_str_is_stable():
     assert str(det) == "x[1,1]*x[2,2] - x[1,2]*x[2,1]"
     assert str(Polynomial.zero(2)) == "0"
     assert str(-2 * (x(2, 1, 1) * x(2, 1, 1))) == "-2*x[1,1]^2"
+
+
+def test_raising_derivation_on_the_variables():
+    # E_{a,a+1} sends x_{r,a} to x_{r,a+1} and x_{a+1,c} to -x_{a,c}; x_{a+1,a}
+    # takes both steps, and a variable in neither row a+1 nor column a is killed
+    n = 3
+    assert raising_derivation(x(n, 3, 1), 1) == x(n, 3, 2)
+    assert raising_derivation(x(n, 2, 3), 1) == -x(n, 1, 3)
+    assert raising_derivation(x(n, 2, 1), 1) == x(n, 2, 2) - x(n, 1, 1)
+    assert raising_derivation(x(n, 1, 2), 1).is_zero()
+    assert raising_derivation(x(n, 1, 1) + x(n, 2, 2) + x(n, 3, 3), 2).is_zero()  # the trace
+    for a in (0, 3):
+        with pytest.raises(ValueError):
+            raising_derivation(x(n, 1, 1), a)
+
+
+@settings(max_examples=60)
+@given(homogeneous_polys(n=3), homogeneous_polys(n=3), st.sampled_from([1, 2]))
+def test_raising_derivation_is_a_derivation_that_raises_the_weight(f, g, a):
+    d = lambda h: raising_derivation(h, a)
+    assert d(f * g) == d(f) * g + f * d(g)
+    if f.degree == g.degree or f.is_zero() or g.is_zero():
+        assert d(f + g) == d(f) + d(g)
+    step = [0] * 3
+    step[a - 1], step[a] = 1, -1
+    for mon in d(f).terms:
+        assert any(
+            mon_weight(3, mon) == tuple(u + v for u, v in zip(mon_weight(3, m), step)) for m in f.terms
+        )

@@ -6,9 +6,23 @@ import pytest
 
 from orbitideals import minors
 from orbitideals.linalg import TriangularBasis
-from orbitideals.minors import family_rank, minor_sum_basis, minor_sum_family, principal_minor_sum
-from orbitideals.polyring import term_key
-from orbitideals.schur import dimension_table, layer_basis, layer_dimension, layer_tags
+from orbitideals.minors import (
+    family_rank,
+    minor,
+    minor_sum_basis,
+    minor_sum_family,
+    prefixed_minor_sum,
+    principal_minor_sum,
+)
+from orbitideals.polyring import raising_derivation, term_key
+from orbitideals.schur import (
+    dimension_table,
+    highest_weight_vector,
+    is_highest_weight,
+    layer_basis,
+    layer_dimension,
+    layer_tags,
+)
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
@@ -163,3 +177,36 @@ def test_layer_tags_expand_no_polynomial(monkeypatch):
     assert len(layer_tags(7, 3)) == layer_dimension(7, 3)
     assert family_rank(7, 3, 4) == comb(7, 3) ** 2 == 1225
 
+
+
+def test_every_h_k_is_a_highest_weight_vector():
+    # h_k at every size p where the depth-k layer is nonzero, n <= 6; h_0 is t_p
+    checked = 0
+    for n in range(1, 7):
+        for k in range(n // 2 + 1):
+            for p in range(max(k, 1), n - k + 1):
+                h = highest_weight_vector(n, k, p)
+                assert is_highest_weight(h, k), (n, k, p)
+                checked += 1
+                if not k:
+                    assert h == principal_minor_sum(n, p)
+    assert checked == 43
+
+
+def test_raising_derivations_reject_what_is_not_highest_weight():
+    for n in range(2, 7):
+        for k in range(1, n // 2 + 1):
+            for p in range(k, n - k + 1):
+                # the depth-k sum of ((1..k), (1..k)) has weight 0, not lambda_k
+                P = tuple(range(1, k + 1))
+                assert not is_highest_weight(prefixed_minor_sum(n, P, P, p), k), (n, k, p)
+        if n >= 4:
+            # one term of h_1 at size 2: weight e_1 - e_n, but E_{2,3} does not kill it
+            f = minor(n, (1, 2), (2, n))
+            assert f != highest_weight_vector(n, 1, 2)
+            assert not raising_derivation(f, 2).is_zero()
+            assert not is_highest_weight(f, 1)
+            # with the other term at n = 4 it is h_1; at n > 4 terms are still missing
+            assert is_highest_weight(f + minor(n, (1, 3), (3, n)), 1) is (n == 4)
+    assert not is_highest_weight(highest_weight_vector(4, 1, 2), 2)  # the wrong layer
+    assert not is_highest_weight(highest_weight_vector(4, 1, 2) * 0, 1)  # zero
