@@ -70,7 +70,9 @@ class TriangularBasis:
 
     def _eliminate(self, vec, lead_only):
         """(residual, combo, scale), all ints: scale * vec equals
-        residual + sum(combo * row).  See `reduce`."""
+        residual + sum(combo * row).  See `reduce`; with `lead_only`,
+        elimination stops at the first column that is not a pivot, and the
+        residual is that column with everything below it (`insert`)."""
         work = {col: v for col, v in vec.items() if v}
         scale = 1
         if not _INT.issuperset(map(type, work.values())):
@@ -120,15 +122,13 @@ class TriangularBasis:
                     work.pop(col2, None)
         return residual, combo, scale
 
-    def reduce(self, vec, lead_only=False):
-        """Reduce `vec` against the basis, fully unless `lead_only`.
+    def reduce(self, vec):
+        """Reduce `vec` fully against the basis.
 
         Returns (residual, combo): residual is a dict free of pivot columns,
         combo maps pivot -> coefficient with vec = residual + sum(combo * row).
-        With `lead_only`, elimination stops at the first column that is not
-        a pivot, and the residual is that column with everything below it.
         """
-        residual, combo, scale = self._eliminate(vec, lead_only)
+        residual, combo, scale = self._eliminate(vec, False)
         if scale != 1:
             residual = {col: _div(v, scale) for col, v in residual.items()}
             combo = {col: _div(v, scale) for col, v in combo.items()}

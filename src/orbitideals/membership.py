@@ -81,8 +81,9 @@ def _restrict(g: Polynomial) -> Polynomial:
 class GradedPiece:
     """The degree-d slice of the ideal generated by homogeneous polynomials,
     split into torus-weight blocks that are built and eliminated on first
-    use.  Reusable across many membership queries against the same
-    generators and degree.
+    use.  The generators are fixed when the piece is built, so each block
+    is eliminated once, and then serves every membership query in its
+    weight.
 
     When every generator is torus-homogeneous, the rows g * m of weight w
     (those with wt(g) + wt(m) = w) span exactly the weight-w part of the
@@ -110,62 +111,41 @@ class GradedPiece:
     def __init__(self, n: int, gens, degree: int, diagonal: bool = False):
         self.n = n
         self.degree = degree
-        self.gens: tuple = ()
+        self.gens = tuple(gens)
+        if any(g.n != n for g in self.gens):
+            raise ValueError("generator over wrong matrix size")
         self.diagonal = diagonal
         self._sign = -1 if diagonal else 1
         # (gen index, row generator, torus weight, packed columns)
         self._row_gens: list[tuple] = []
-        self._graded = True
+        head = key_header(n, degree)
+        for gi, g in enumerate(self.gens):
+            if g.is_zero() or g.degree > degree:
+                continue
+            if diagonal and (g := _restrict(g)).is_zero():
+                continue
+            packed = {self._sign * (head + pack(n, t, degree)): c for t, c in g.terms.items()}
+            self._row_gens.append((gi, g, _torus_weight(g), packed))
+        self._graded = all(w is not None for _, _, w, _ in self._row_gens)
         # multipliers are drawn from these variables (None: all of them)
         self._variables = [(r, r) for r in range(1, n + 1)] if diagonal else None
         # weight -> exact row-reduced basis of its rows, with provenance
-        # outside the slice, and the number of row generators it holds
+        # outside the slice
         self._blocks: dict[tuple, TriangularBasis] = {}
-        self._held: dict[tuple, int] = {}
         # totals over the blocks built so far; a fresh piece has built none
         self.rows: list[tuple] = []  # (gen index, multiplier) of every row
         self.nonzeros = 0
         self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> [(monomial, offset)]
-        self.add(gens)
-
-    def add(self, gens) -> None:
-        """Append generators.  A block built before takes their rows the
-        next time it is used, after its own and in the order of a piece
-        built with all the generators at once, so its kept rows and its
-        certificates are those of that piece.  A generator that is not a
-        torus weight vector merges every block into one, so the blocks
-        built so far are dropped."""
-        gens = tuple(gens)
-        for g in gens:
-            if g.n != self.n:
-                raise ValueError("generator over wrong matrix size")
-        start = len(self.gens)
-        self.gens += gens
-        head = key_header(self.n, self.degree)
-        for gi, g in enumerate(gens, start):
-            if g.is_zero() or g.degree > self.degree:
-                continue
-            if self.diagonal and (g := _restrict(g)).is_zero():
-                continue
-            w = _torus_weight(g)
-            if w is None and self._graded:
-                self._graded = False
-                self._blocks.clear()
-                self._held.clear()
-                self.rows, self.nonzeros = [], 0
-            packed = {self._sign * (head + pack(self.n, t, self.degree)): c for t, c in g.terms.items()}
-            self._row_gens.append((gi, g, w, packed))
 
     def _weight(self, mon) -> tuple:
         """The block a monomial belongs to."""
         return mon_weight(self.n, mon) if self._graded else ()
 
-    def _block_multipliers(self, w: tuple, start: int = 0):
+    def _block_multipliers(self, w: tuple):
         """(gen index, row generator, its columns, [(multiplier, column
         offset)]) of the rows of weight w, in the order of the whole piece:
-        by generator, then descending multiplier; from the `start`-th row
-        generator on."""
-        for gi, g, gw, packed in self._row_gens[start:]:
+        by generator, then descending multiplier."""
+        for gi, g, gw, packed in self._row_gens:
             k = self.degree - g.degree
             mw = tuple(a - b for a, b in zip(w, gw)) if self._graded else ()
             mons = self._multipliers.get((k, mw))
@@ -181,13 +161,12 @@ class GradedPiece:
         basis = self._blocks.get(w)
         if basis is None:
             basis = self._blocks[w] = TriangularBasis(track=not self.diagonal)
-        for gi, _, packed, mons in self._block_multipliers(w, self._held.get(w, 0)):
-            for m, off in mons:
-                tag = (gi, m)
-                basis.insert({k + off: c for k, c in packed.items()}, tag)
-                self.rows.append(tag)
-            self.nonzeros += len(packed) * len(mons)
-        self._held[w] = len(self._row_gens)
+            for gi, _, packed, mons in self._block_multipliers(w):
+                for m, off in mons:
+                    tag = (gi, m)
+                    basis.insert({k + off: c for k, c in packed.items()}, tag)
+                    self.rows.append(tag)
+                self.nonzeros += len(packed) * len(mons)
         return basis
 
     def contains(self, f: Polynomial) -> dict | None:
@@ -360,26 +339,27 @@ def verify_rel1(n: int) -> dict:
     """Check V(i,p+1) in <V(i,p)> for every 1 <= i <= p < n, each space
     spanned by the layer representatives of depths 0..i at its size.
 
-    One piece per size p is grown by the layers of size p depth by depth;
-    the ideal of V(i,p) only grows with i, so a candidate shown a member at
-    a smaller depth stays one and is not queried again.  Returns the
-    JSON-ready report: `kind` "rel1", `n`, one `results` entry
-    {i, p, all_member} per pair, and `ok` when every pair holds."""
+    V(i,p) is GL_n-stable (Weyman 1989), so its ideal is, and it holds the
+    layer L_k(p+1) exactly when it holds h_k(p+1) (`schur.is_highest_weight`).
+    V(i,p+1) adds the layers k = 0 and 1 over V(0,p+1) at i = 1, and the
+    layer k = i after that, so h_k(p+1) of each nonzero one is asked
+    against the layers of V(i,p) (`_step_layers`) by `_query_status`, and
+    counts once `is_highest_weight` and `GradedPiece.verify` accept it.  The
+    ideal of V(i,p) only grows with i, so a vector shown a member stays one,
+    and a vector not shown one is asked again at the next depth.  Returns
+    the JSON-ready report: `kind` "rel1", `n`, one `results` entry
+    {i, p, all_member} per pair, `all_member` when no vector is pending,
+    and `ok` when every pair holds."""
     if n < 2:
         raise ValueError(f"no pair 1 <= i <= p < n for n = {n}: the sweep would be vacuous")
     results = []
     for p in range(1, n):
-        piece = GradedPiece(n, (), p + 1)
-        candidates = []  # the layers of depth 0..i at size p+1; the first `shown` are members
-        shown = 0
-        for i in range(p + 1):
-            piece.add(layer_basis(n, i, p))
-            candidates += layer_basis(n, i, p + 1)
-            if not i:
-                continue
-            while shown < len(candidates) and piece.contains(candidates[shown])["status"] == MEMBER:
-                shown += 1
-            results.append({"i": i, "p": p, "all_member": shown == len(candidates)})
+        pending: list[int] = []  # the layers k of size p+1 whose h_k is not shown a member
+        for i in range(1, p + 1):
+            pending += [k for k in ((0, 1) if i == 1 else (i,)) if not minor_space_vanishes(n, k, p + 1)]
+            against = _step_layers(n, i, p + 1)
+            pending = [k for k in pending if _query_status(n, k, p + 1, against) != MEMBER]
+            results.append({"i": i, "p": p, "all_member": not pending})
     return {"kind": "rel1", "n": n, "results": results, "ok": all(r["all_member"] for r in results)}
 
 
@@ -443,6 +423,13 @@ def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
     return candidate.evaluate(point) != 0
 
 
+def _step_layers(n: int, k: int, q: int) -> tuple:
+    """The nonzero layers (j, q-1), j <= max(k,1), whose representatives
+    span V(max(k,1), q-1): the generators a degree-1 step asks h_k(q)
+    against."""
+    return tuple((j, q - 1) for j in range(max(k, 1) + 1) if not minor_space_vanishes(n, j, q - 1))
+
+
 def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
     """The highest-weight queries (k, q, layers) that certify V(i,p), p the
     critical size of the excluded depth i, in the ideal I of the scheduled
@@ -461,8 +448,9 @@ def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
     - an excluded depth k at its critical size q (the top layer of V(i,p)
       among them): h_k(q) against the scheduled layers of depth < k;
     - otherwise a degree-1 step: h_k(q) against the layers of
-      V(max(k,1), q-1), whose span is GL-stable, so L_k(q) lies in the
-      ideal of V(max(k,1), q-1), whose layers are needed in turn.
+      V(max(k,1), q-1) (`_step_layers`), whose span is GL-stable, so
+      L_k(q) lies in the ideal of V(max(k,1), q-1), whose layers are
+      needed in turn.
     Sizes only fall along a chain of steps, and a depth-k chain ends at
     k's critical size, so the recursion ends.  The chain of each depth
     j < i runs from p down to p_j, so it reaches every scheduled layer
@@ -486,8 +474,8 @@ def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
             queries.append((k, q, tuple(layer for layer in schedule if layer[0] < k)))
             below = []
         else:
-            below = [(j, q - 1) for j in range(max(k, 1) + 1) if not minor_space_vanishes(n, j, q - 1)]
-            queries.append((k, q, tuple(below)))
+            below = _step_layers(n, k, q)
+            queries.append((k, q, below))
         for layer in below:
             need(*layer)
 

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The large flagged runs (dimension law at n=5, vanishing at n<=10,
-membership --rel1 at n=6) are enabled by setting ORBIT_IDEALS_LARGE=1.
+membership --rel1 at n=7, verify minimal for every mu of 8) are enabled by
+setting ORBIT_IDEALS_LARGE=1.
 """
 
 import json
@@ -174,6 +175,19 @@ def test_criterion_5_minimality_at_n6_and_n7():
         _report(f"5 minimality of {mu}", elapsed)
 
 
+def test_criterion_5_minimality_at_n8_through_the_cli(capsys):
+    # the exact frontier of `verify minimal`: every mu of 8 in one process
+    # takes 31 to 34 s and 410 MB on a 2-core host (CPython 3.11.7); the
+    # tier-1 run takes two quick shapes
+    eights = list(partitions_of(8)) if LARGE else [Partition((4, 4)), Partition((2, 2, 2, 2))]
+    t0 = time.time()
+    for mu in eights:
+        code, out = _run_cli(capsys, "verify", "minimal", "--partition", str(mu), "--max-n", "8", "--json")
+        assert code == 0, mu
+        assert json.loads(out)["ok"] is True, mu
+    _report(f"5 minimality of {len(eights)} shapes of 8 through verify minimal", time.time() - t0)
+
+
 def test_criterion_6_redundancy():
     t0 = time.time()
     nonzero = {}  # (mu, i) -> candidates, for the nonzero excluded spaces
@@ -219,16 +233,16 @@ def test_criterion_7_size_monotonicity():
 
 def test_criterion_7_size_monotonicity_through_the_cli(capsys):
     # V(i,p+1) in <V(i,p)> for every 1 <= i <= p < n, spanned by the layers;
-    # n = 6 takes about 4 s on a 2-core host (CPython 3.11.7)
+    # n = 7 takes about 4 s on a 2-core host (CPython 3.11.7)
     t0 = time.time()
-    n = 6 if LARGE else 4
-    code, out = _run_cli(capsys, "membership", "--rel1", "--n", str(n), "--max-n", "6", "--json")
+    n = 7 if LARGE else 5
+    code, out = _run_cli(capsys, "membership", "--rel1", "--n", str(n), "--max-n", "7", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is True
     pairs = [(i, p) for p in range(1, n) for i in range(1, p + 1)]
     assert [(r["i"], r["p"]) for r in report["results"]] == pairs
-    assert len(pairs) == (15 if LARGE else 6)
+    assert len(pairs) == (21 if LARGE else 10)
     assert all(r["all_member"] for r in report["results"])
     elapsed = time.time() - t0
     _report(f"7 size monotonicity through membership --rel1 (n = {n})", elapsed)

@@ -19,7 +19,7 @@ from orbitideals.partitions import (
     partitions_of,
 )
 from orbitideals.polyring import Polynomial, monomials_of_degree
-from orbitideals.schur import layer_basis, layer_dimension
+from orbitideals.schur import highest_weight_vector, layer_basis, layer_dimension
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
@@ -333,9 +333,9 @@ def test_membership_rel1(capsys):
 
 @pytest.mark.parametrize("n", [2, 3, 4] + ([5] if LARGE else []))
 def test_membership_rel1_matches_a_fresh_piece_per_step(capsys, n):
-    # the sweep grows one piece per size and skips candidates already shown
-    # members; the oracle builds <V(i,p)> afresh for every (i, p) and asks
-    # for every layer representative of V(i,p+1)
+    # the sweep asks one highest-weight vector per layer that V(i,p+1) adds;
+    # the oracle builds <V(i,p)> afresh for every (i, p) and asks for every
+    # layer representative of V(i,p+1)
     def span(i, q):
         return [g for j in range(i + 1) for g in layer_basis(n, j, q)]
 
@@ -351,6 +351,32 @@ def test_membership_rel1_matches_a_fresh_piece_per_step(capsys, n):
     assert code == 0
     report = json.loads(out)
     assert {k: report[k] for k in oracle} == oracle
+
+
+@pytest.mark.parametrize("times, failing", [(1, [(1, 2)]), (None, [(1, 2), (2, 2)])])
+def test_membership_rel1_rests_on_its_certificates(capsys, monkeypatch, times, failing):
+    # the verdicts for h_0 = t_3 at n = 4 lose their combination, the first
+    # one only or all of them, so `GradedPiece.verify` rejects them and pair
+    # (1,2) fails; t_3 stays pending and is asked again at depth 2, against
+    # V(2,2), so pair (2,2) holds unless that verdict is forged too
+    n, p = 4, 2
+    t = highest_weight_vector(n, 0, p + 1)
+    honest = membership.GradedPiece.contains
+    forged = []
+
+    def forge(piece, f):
+        verdict = honest(piece, f)
+        if f == t and len(forged) != times:
+            forged.append(verdict)
+            return {**verdict, "combination": []}
+        return verdict
+
+    monkeypatch.setattr(membership.GradedPiece, "contains", forge)
+    code, out, _ = run(capsys, "membership", "--rel1", "--n", str(n), "--json")
+    report = validate_report(out)
+    assert all(v["status"] == membership.MEMBER and v["combination"] for v in forged)
+    assert (code, report["ok"]) == (1, False)
+    assert [(r["i"], r["p"]) for r in report["results"] if not r["all_member"]] == failing
 
 
 def test_membership_rel1_needs_two_rows(capsys):

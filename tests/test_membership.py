@@ -764,18 +764,20 @@ def test_blocks_match_whole_piece(n, picks, inhomogeneous, products, extras):
 @given(
     st.sampled_from([3, 4]),
     st.lists(st.integers(0, 4), min_size=1, max_size=4),
-    st.integers(0, 4),
-    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 4)),
     st.booleans(),
     st.lists(st.tuples(st.integers(0, 99), st.integers(0, 999), st.integers(-3, 3)), min_size=1, max_size=4),
     st.lists(st.tuples(st.integers(0, 9999), st.integers(-2, 2)), max_size=2),
 )
-def test_grown_piece_matches_one_shot(n, picks, cut, inhomogeneous, diagonal, products, extras):
-    # generators added one at a time, after blocks of the earlier ones were
-    # built, give the verdicts of a piece built with them all at once
+def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, odd_at, diagonal, products, extras):
+    # one piece, on the weight blocks or on the diagonal slice, and with an
+    # inhomogeneous generator anywhere in the list, answers a run of
+    # candidates as a fresh piece answers each; every verdict re-verifies,
+    # and the slice never answers `member`
     homogeneous, odd = generator_pool(n)
-    gens = [homogeneous[k] for k in picks] + ([odd] if inhomogeneous else [])
-    cut %= len(gens)
+    gens = [homogeneous[k] for k in picks]
+    if odd_at is not None:
+        gens.insert(odd_at % (len(gens) + 1), odd)
     degree = 3
     top = monomials_of_degree(n, degree)
     candidates = []
@@ -786,31 +788,17 @@ def test_grown_piece_matches_one_shot(n, picks, cut, inhomogeneous, diagonal, pr
         for ek, ec in extras:
             f = f + Polynomial(n, {top[ek % len(top)]: ec})
         candidates.append(f)
-    grown = GradedPiece(n, gens[:cut], degree, diagonal=diagonal)
-    for k in range(cut, len(gens) + 1):
-        if k > cut:
-            grown.add(gens[k - 1 : k])
-        whole = GradedPiece(n, gens[:k], degree, diagonal=diagonal)
-        assert grown.gens == whole.gens
-        for f in candidates:
-            verdict = grown.contains(f)
-            assert verdict == whole.contains(f)
-            if verdict is not None:
-                assert whole.verify(f, verdict)
-    assert sorted(grown.rows) == sorted(whole.rows)
-
-
-def test_inhomogeneous_generator_added_last_drops_the_blocks():
-    homogeneous, odd = generator_pool(3)
-    f = principal_minor_sum(3, 2) + Polynomial.variable(3, 1, 1) * Polynomial.variable(3, 2, 3)
-    piece = GradedPiece(3, [homogeneous[0]], 2)
-    assert piece.contains(f)["status"] == NON_MEMBER
-    assert len(piece._blocks) > 1
-    piece.add([odd])
-    assert (piece._blocks, piece.rows, piece.nonzeros) == ({}, [], 0)
-    verdict = piece.contains(f)
-    assert verdict == GradedPiece(3, [homogeneous[0], odd], 2).contains(f)
-    assert list(piece._blocks) == [()] and len(piece.rows) == 2 * 9
+    piece = GradedPiece(n, gens, degree, diagonal=diagonal)
+    # rho(odd) is the weight vector x_11, so only the full piece merges its blocks
+    assert piece._graded == (diagonal or odd_at is None)
+    for f in candidates:
+        verdict = piece.contains(f)
+        assert verdict == GradedPiece(n, gens, degree, diagonal=diagonal).contains(f)
+        if verdict is None:
+            assert diagonal
+        else:
+            assert piece.verify(f, verdict)
+            assert not (diagonal and verdict["status"] == MEMBER)
 
 
 def test_mixed_weight_candidate_uses_the_failing_block():
