@@ -8,11 +8,12 @@ its coefficient vector lies in their row span.
 
 The diagonal torus scales x_rc by s_r / s_c, so a monomial has weight
 sum e * (e_r - e_c) over its x_rc^e, and every prefixed minor sum
-(P,J|Q,J) has the single weight e_P - e_Q.  When every generator is a weight
-vector, the piece splits exactly into weight blocks, the rows g * m with
-wt(g) + wt(m) = w, and f is a member iff each of its weight components lies
-in its own block.  Blocks are enumerated directly and eliminated over Q on
-first use, so a query touches only the blocks its candidate meets.
+(P,J|Q,J) has the single weight e_P - e_Q.  Every generator must be a
+weight vector, so the piece splits exactly into weight blocks, the rows
+g * m with wt(g) + wt(m) = w, and f is a member iff each of its weight
+components lies in its own block.  Blocks are enumerated directly and
+eliminated over Q on first use, so a query touches only the blocks its
+candidate meets.
 
 Verdicts carry re-verifiable certificates: an exact coefficient combination
 for members, and for non-members either a linear functional vanishing on
@@ -47,14 +48,12 @@ from .partitions import (
 )
 from .polyring import (
     Polynomial,
-    key_header,
     mon_from_record,
     mon_to_record,
     mon_weight,
     monomials_of_degree,
     monomials_of_weight,
     pack,
-    term_key,
     unpack,
 )
 from .schur import highest_weight_vector, is_highest_weight, layer_basis, layer_dimension, layer_tags
@@ -63,10 +62,12 @@ MEMBER = "member"
 NON_MEMBER = "non_member"
 
 
-def _torus_weight(g: Polynomial) -> tuple | None:
-    """The common torus weight of g's terms, or None if they differ."""
+def _torus_weight(g: Polynomial) -> tuple:
+    """The common torus weight of g's terms; ValueError if they differ."""
     weights = {mon_weight(g.n, mon) for mon in g.terms}
-    return weights.pop() if len(weights) == 1 else None
+    if len(weights) != 1:
+        raise ValueError("generator is not a torus-weight vector")
+    return weights.pop()
 
 
 def _is_diagonal(mon) -> bool:
@@ -79,17 +80,17 @@ def _restrict(g: Polynomial) -> Polynomial:
 
 
 class GradedPiece:
-    """The degree-d slice of the ideal generated by homogeneous polynomials,
-    split into torus-weight blocks that are built and eliminated on first
-    use.  The generators are fixed when the piece is built, so each block
-    is eliminated once, and then serves every membership query in its
-    weight.
+    """The degree-d slice of the ideal generated by homogeneous torus-weight
+    vectors, split into torus-weight blocks that are built and eliminated
+    on first use.  The generators are fixed when the piece is built, so
+    each block is eliminated once, and then serves every membership query
+    in its weight.  A generator of degree at most d that is not a weight
+    vector raises ValueError, on the slice too; one of higher degree gives
+    no row and is not read.
 
-    When every generator is torus-homogeneous, the rows g * m of weight w
-    (those with wt(g) + wt(m) = w) span exactly the weight-w part of the
-    piece, so a candidate is a member iff each of its weight components
-    lies in its own block.  If some generator is not homogeneous, every
-    monomial gets weight () and the one block is the whole piece.
+    The rows g * m of weight w (those with wt(g) + wt(m) = w) span exactly
+    the weight-w part of the piece, so a candidate is a member iff each of
+    its weight components lies in its own block.
 
     With `diagonal=True` the piece is the diagonal slice: its rows are
     rho(g) * m for diagonal monomials m, all in the weight-0 block, and a
@@ -97,13 +98,12 @@ class GradedPiece:
     (see the module docstring), so it tracks no provenance and `contains`
     gives None where the full piece might say `member`.
 
-    Rows are eliminated on int columns, the term keys of their monomials
-    (`polyring.term_key`).  In degree d the key of t * m is the key of t at
-    the digit width of d plus `pack(n, m, d)`, with no carry, so each
-    generator is packed once per piece and a row is built by int addition.
-    The slice negates every column: the pivot is the largest column, and
-    the reversed canonical order cuts the time of t_7 at n = 7 by more than
-    half.  Only the columns of a non-member functional are decoded.
+    Rows are eliminated on int columns, the exponent digits
+    `pack(n, mon, d)` of their monomials.  The column of t * m is that of t
+    plus that of m, with no carry, so each generator is packed once per
+    piece and a row is built by int addition.  The pivot is the smallest
+    monomial (`linalg`), and only the columns of a non-member functional
+    are decoded.
     """
 
     path = "exact"  # read by perfbench/layers.py until ROADMAP item 6 lands
@@ -115,20 +115,16 @@ class GradedPiece:
         if any(g.n != n for g in self.gens):
             raise ValueError("generator over wrong matrix size")
         self.diagonal = diagonal
-        self._sign = -1 if diagonal else 1
         # (gen index, row generator, torus weight, packed columns)
         self._row_gens: list[tuple] = []
-        head = key_header(n, degree)
         for gi, g in enumerate(self.gens):
             if g.is_zero() or g.degree > degree:
                 continue
-            if diagonal and (g := _restrict(g)).is_zero():
+            w = _torus_weight(g)
+            # every diagonal monomial has weight 0, so rho(g) = 0 unless w = 0
+            if diagonal and (any(w) or (g := _restrict(g)).is_zero()):
                 continue
-            packed = {self._sign * (head + pack(n, t, degree)): c for t, c in g.terms.items()}
-            self._row_gens.append((gi, g, _torus_weight(g), packed))
-        self._graded = all(w is not None for _, _, w, _ in self._row_gens)
-        # multipliers are drawn from these variables (None: all of them)
-        self._variables = [(r, r) for r in range(1, n + 1)] if diagonal else None
+            self._row_gens.append((gi, g, w, {pack(n, t, degree): c for t, c in g.terms.items()}))
         # weight -> exact row-reduced basis of its rows, with provenance
         # outside the slice
         self._blocks: dict[tuple, TriangularBasis] = {}
@@ -137,24 +133,20 @@ class GradedPiece:
         self.nonzeros = 0
         self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> [(monomial, offset)]
 
-    def _weight(self, mon) -> tuple:
-        """The block a monomial belongs to."""
-        return mon_weight(self.n, mon) if self._graded else ()
-
     def _block_multipliers(self, w: tuple):
         """(gen index, row generator, its columns, [(multiplier, column
         offset)]) of the rows of weight w, in the order of the whole piece:
         by generator, then descending multiplier."""
         for gi, g, gw, packed in self._row_gens:
             k = self.degree - g.degree
-            mw = tuple(a - b for a, b in zip(w, gw)) if self._graded else ()
+            mw = tuple(a - b for a, b in zip(w, gw))
             mons = self._multipliers.get((k, mw))
             if mons is None:
-                if self._graded and not self.diagonal:
-                    mons = monomials_of_weight(self.n, k, mw)
+                if self.diagonal:
+                    mons = monomials_of_degree(self.n, k, [(r, r) for r in range(1, self.n + 1)])
                 else:
-                    mons = monomials_of_degree(self.n, k, self._variables)
-                mons = self._multipliers[(k, mw)] = [(m, self._sign * pack(self.n, m, self.degree)) for m in mons]
+                    mons = monomials_of_weight(self.n, k, mw)
+                mons = self._multipliers[(k, mw)] = [(m, pack(self.n, m, self.degree)) for m in mons]
             yield gi, g, packed, mons
 
     def _block(self, w: tuple) -> TriangularBasis:
@@ -184,7 +176,7 @@ class GradedPiece:
             return None if self.diagonal else {"status": MEMBER, "combination": []}
         components: dict[tuple, dict] = {}
         for mon, c in f.terms.items():
-            components.setdefault(self._weight(mon), {})[self._sign * term_key(self.n, mon)] = c
+            components.setdefault(mon_weight(self.n, mon), {})[pack(self.n, mon, self.degree)] = c
         combination = []
         free: dict = {}  # residual column -> the basis of its block
         for w, terms in components.items():
@@ -195,10 +187,10 @@ class GradedPiece:
             elif basis.track:
                 combination.extend((gi, mon, c) for (gi, mon), c in basis.provenance_of(combo).items())
         if free:
-            lead = max(free)
+            lead = min(free)
             lam = free[lead].annihilator(lead)
             functional = []
-            for k, c in sorted(((self._sign * col, c) for col, c in lam.items()), reverse=True):
+            for k, c in sorted(lam.items(), reverse=True):
                 functional.append({"monomial": mon_to_record(unpack(self.n, k, self.degree)), "coeff": str(c)})
             verdict = {"status": NON_MEMBER, "functional": functional}
             if self.diagonal:
@@ -206,7 +198,7 @@ class GradedPiece:
             return verdict
         if self.diagonal:
             return None
-        combination.sort(key=lambda t: (t[0], term_key(self.n, t[1])))
+        combination.sort(key=lambda t: (t[0], pack(self.n, t[1], self.degree)))
         combination = [{"gen": gi, "monomial": mon_to_record(m), "coeff": str(c)} for gi, m, c in combination]
         return {"status": MEMBER, "combination": combination}
 
@@ -249,14 +241,15 @@ class GradedPiece:
             return False
         return all(
             apply_functional(lam, g.times_monomial(m).terms) == 0
-            for w in {self._weight(m) for m in lam}
+            for w in {mon_weight(self.n, m) for m in lam}
             for _, g, _, mons in self._block_multipliers(w)
             for m, _ in mons
         )
 
 
 def ideal_contains(f: Polynomial, gens) -> dict:
-    """Decide whether f lies in the ideal generated by `gens`.
+    """Decide whether f lies in the ideal generated by `gens`, each a
+    torus-weight vector (ValueError otherwise; `GradedPiece`).
 
     The diagonal slice is tried first: it is far smaller than the weight
     blocks, and its non-member functional certifies the full ring.  When

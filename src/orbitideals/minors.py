@@ -171,7 +171,8 @@ def minor_sum_family(n: int, prefix_len: int, size: int):
 
 @lru_cache(maxsize=None)
 def _kept_pairs(n: int, prefix_len: int, size: int) -> tuple:
-    """The pairs of the family members `minor_sum_basis` keeps."""
+    """The pairs of the family members `minor_sum_basis` keeps.  Callers
+    cap `prefix_len` at `size`, so every longer prefix shares one entry."""
     return independent_pairs(n, size, _family_pairs(n, prefix_len, size))
 
 
@@ -182,9 +183,9 @@ def minor_sum_basis(n: int, prefix_len: int, size: int) -> tuple[Polynomial, ...
 
     The cardinality equals C(n, m)^2 with m = min(prefix_len, size, n-size).
     """
-    return tuple(prefixed_minor_sum(n, P, Q, size) for P, Q in _kept_pairs(n, prefix_len, size))
+    return tuple(prefixed_minor_sum(n, P, Q, size) for P, Q in _kept_pairs(n, min(prefix_len, size), size))
 
 
 def family_rank(n: int, prefix_len: int, size: int) -> int:
     """Exact rank of the full spanning family of prefixed minor sums."""
-    return len(_kept_pairs(n, prefix_len, size))
+    return len(_kept_pairs(n, min(prefix_len, size), size))

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The large flagged runs (dimension law at n=5, vanishing at n<=10,
-membership --rel1 at n=7, verify minimal for every mu of 8) are enabled by
-setting ORBIT_IDEALS_LARGE=1.
+membership --rel1 and redundancy at n=7, verify minimal for every mu of 8)
+are enabled by setting ORBIT_IDEALS_LARGE=1.
 """
 
 import json
@@ -191,7 +191,8 @@ def test_criterion_5_minimality_at_n8_through_the_cli(capsys):
 def test_criterion_6_redundancy():
     t0 = time.time()
     nonzero = {}  # (mu, i) -> candidates, for the nonzero excluded spaces
-    for n in range(2, 6):
+    top = 7 if LARGE else 6
+    for n in range(2, top + 1):
         for mu in partitions_of(n):
             for i in excluded_depths(mu):
                 report = verify_redundant(mu, i)
@@ -204,9 +205,12 @@ def test_criterion_6_redundancy():
     # at n <= 4 every excluded space is zero (vacuously generated); the
     # smallest nonzero excluded space is depth 2 of (2,2,1) at n=5
     assert nonzero[Partition((2, 2, 1)), 2] == 75
+    assert nonzero[Partition((2, 2, 2)), 2] == 189
+    if LARGE:
+        assert nonzero[Partition((3, 3, 1)), 2] == 392
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    _report(f"6 redundancy certificates ({len(nonzero)} nonzero spaces, n <= 5)", elapsed)
+    _report(f"6 redundancy certificates ({len(nonzero)} nonzero spaces, n <= {top})", elapsed)
 
 
 def test_criterion_7_size_monotonicity():

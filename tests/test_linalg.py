@@ -13,44 +13,45 @@ def make_basis(track=False):
 
 def test_insert_and_rank():
     basis = make_basis()
-    assert basis.insert({0: 1, 1: 2})
-    assert basis.insert({1: 1})
-    assert not basis.insert({0: 2, 1: 5})  # 2*(row1) + row2
+    assert basis.insert({1: 1, 0: 2})
+    assert basis.insert({0: 1})
+    assert not basis.insert({1: 2, 0: 5})  # 2*(row1) + row2
     assert basis.rank == 2
 
 
 def test_fill_in_shares_the_column_ints_of_earlier_rows():
-    # packed term keys are large ints; a row that copied every fill-in
-    # column would raise the memory of large pieces by more than a third
+    # packed exponent digits are large ints; a row that copied every
+    # fill-in column would raise the memory of large pieces by more than a
+    # third
     big = 1 << 100
     basis = make_basis()
-    basis.insert({big + 2: 1, big + 1: 1, big: 1})
-    assert basis.insert({big + 2: 1, big + 1: 2})  # fill-in at column `big`
-    (first,) = (k for k in basis.rows[big + 2] if k == big)
-    (second,) = (k for k in basis.rows[big + 1] if k == big)
+    basis.insert({big: 1, big + 1: 1, big + 2: 1})
+    assert basis.insert({big: 1, big + 1: 2})  # fill-in at column `big + 2`
+    (first,) = (k for k in basis.rows[big] if k == big + 2)
+    (second,) = (k for k in basis.rows[big + 1] if k == big + 2)
     assert second is first
 
 
 def test_reduce_returns_combo():
     basis = make_basis()
-    basis.insert({2: 2, 0: 4})
+    basis.insert({0: 2, 2: 4})
     basis.insert({1: 3})
-    residual, combo = basis.reduce({2: 1, 1: 3, 0: 7})
-    assert residual == {0: 5}
+    residual, combo = basis.reduce({0: 1, 1: 3, 2: 7})
+    assert residual == {2: 5}
     # vec - residual == sum(combo * basis rows)
     rebuilt = dict(residual)
     for piv, c in combo.items():
         for col, v in basis.rows[piv].items():
             rebuilt[col] = rebuilt.get(col, 0) + c * v
-    assert {k: v for k, v in rebuilt.items() if v} == {2: 1, 1: 3, 0: 7}
+    assert {k: v for k, v in rebuilt.items() if v} == {0: 1, 1: 3, 2: 7}
 
 
 def test_provenance_tracks_original_rows():
     basis = make_basis(track=True)
-    rows = {"a": {0: 1, 1: 1}, "b": {1: 1, 2: 1}, "c": {0: 1, 2: 1}}
+    rows = {"a": {2: 1, 1: 1}, "b": {1: 1, 0: 1}, "c": {2: 1, 0: 1}}
     for tag, vec in rows.items():
         assert basis.insert(vec, tag)
-    target = {0: 2, 1: 1, 2: 1}  # a + c
+    target = {2: 2, 1: 1, 0: 1}  # a + c
     residual, combo = basis.reduce(target)
     assert not residual
     prov = basis.provenance_of(combo)
@@ -63,13 +64,13 @@ def test_provenance_tracks_original_rows():
 
 def test_annihilator_kills_row_span():
     basis = make_basis()
-    vectors = [{0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}, {0: 3, 2: 2}]
+    vectors = [{4: 1, 3: 2, 1: 1}, {3: 1, 2: 1}, {4: 3, 2: 2}]
     for vec in vectors:
         basis.insert(vec)
-    outside = {3: 1, 4: 1}
+    outside = {1: 1, 0: 1}
     residual, _ = basis.reduce(outside)
     assert residual
-    lead = max(residual)
+    lead = min(residual)
     lam = basis.annihilator(lead)
     for vec in vectors:
         assert apply_functional(lam, vec) == 0
@@ -78,9 +79,9 @@ def test_annihilator_kills_row_span():
 
 def test_annihilator_requires_free_column():
     basis = make_basis()
-    basis.insert({1: 1})
+    basis.insert({0: 1})
     with pytest.raises(ValueError):
-        basis.annihilator(1)
+        basis.annihilator(0)
 
 
 @settings(max_examples=50)
@@ -145,7 +146,8 @@ def test_membership_decision_matches_recombination(rows, coeffs):
 class FractionBasis:
     """Reference eliminator: every coefficient is a Fraction, a query is
     reduced by dividing each work coefficient by the row's lead, and
-    provenance is updated in Fractions.  Columns are ints ordered by value.
+    provenance is updated in Fractions.  Columns are ints ordered by value,
+    and a row's smallest column is its pivot.
     A new row is reduced only at its lead, as TriangularBasis stores it;
     with `full=True` it is fully reduced.  A stored row is scaled to
     TriangularBasis's form, primitive integral with a positive lead, and its
@@ -165,7 +167,7 @@ class FractionBasis:
         residual: dict = {}
         combo: dict = {}
         while work:
-            col = max(work)
+            col = min(work)
             c = work.pop(col)
             row = self.rows.get(col)
             if row is None:
@@ -189,7 +191,7 @@ class FractionBasis:
         residual, combo = self.reduce(vec, lead_only=not self.full)
         if not residual:
             return False
-        pivot = max(residual)
+        pivot = min(residual)
         # the primitive integral multiple of the residual with a positive lead
         lead = Fraction(residual[pivot])
         monic = {col: Fraction(v) / lead for col, v in residual.items()}
@@ -218,7 +220,7 @@ class FractionBasis:
 
     def annihilator(self, free_column):
         lam = {free_column: Fraction(1)}
-        for piv in sorted(self.rows):
+        for piv in sorted(self.rows, reverse=True):
             s = Fraction(0)
             for col, v in self.rows[piv].items():
                 if col != piv and col in lam:
@@ -232,7 +234,7 @@ def assert_primitive_rows(basis):
     for piv, row in basis.rows.items():
         assert all(type(v) is int for v in row.values()), row
         assert row[piv] > 0 and gcd(*row.values()) == 1, row
-        assert max(row) == piv
+        assert min(row) == piv
 
 
 def assert_int_unless_fractional(values):
@@ -297,8 +299,8 @@ entries = st.one_of(
     st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=6),
     st.lists(entries, min_size=4, max_size=4),
 )
-@example(rows=[[Fraction(2, 1), 1, 0, 0], [Fraction(1, 2), 0, 1, 0]], probe=[Fraction(2, 1), 0, 0, 1])
-@example(rows=[[0, 0, Fraction(2, 3), Fraction(4, 3)]], probe=[0, 0, 1, Fraction(1, 2)])
+@example(rows=[[0, 0, 1, Fraction(2, 1)], [0, 1, 0, Fraction(1, 2)]], probe=[1, 0, 0, Fraction(2, 1)])
+@example(rows=[[Fraction(4, 3), Fraction(2, 3), 0, 0]], probe=[Fraction(1, 2), 1, 0, 0])
 def test_rational_entries_match_fraction_reference(rows, probe):
     # denominators are cleared once, on entry; a Fraction with denominator 1
     # is read as its int
@@ -341,26 +343,26 @@ def test_lead_reduction_answers_as_full_reduction(rows, probe, coeffs):
 def test_new_rows_are_reduced_only_at_their_lead():
     basis = make_basis()
     basis.insert({1: 1})
-    assert basis.insert({2: 1, 1: 1})
-    assert basis.rows[2] == {2: 1, 1: 1}  # column 1 is a pivot, left in place
-    assert basis.reduce({2: 1, 0: 1}) == ({0: 1}, {2: 1, 1: -1})
+    assert basis.insert({0: 1, 1: 1})
+    assert basis.rows[0] == {0: 1, 1: 1}  # column 1 is a pivot, left in place
+    assert basis.reduce({0: 1, 2: 1}) == ({2: 1}, {0: 1, 1: -1})
 
 
 def test_non_integral_row_certificates():
     basis = make_basis(track=True)
-    a, b = {1: 2, 0: 1}, {2: 1, 1: 1}
+    a, b = {1: 2, 2: 1}, {0: 1, 1: 1}
     assert basis.insert(a, "a")
-    assert basis.rows[1] == {1: 2, 0: 1}  # the lead 2 is kept, not divided out
+    assert basis.rows[1] == {1: 2, 2: 1}  # the lead 2 is kept, not divided out
     assert_primitive_rows(basis)
     assert basis.prov[1] == {"a": 1} and 1 not in basis.den  # a denominator 1 is not kept
     assert basis.insert(b, "b")
-    lam = basis.annihilator(0)
-    assert lam == {0: 1, 1: Fraction(-1, 2), 2: Fraction(1, 2)}
+    lam = basis.annihilator(2)
+    assert lam == {2: 1, 1: Fraction(-1, 2), 0: Fraction(1, 2)}
     assert apply_functional(lam, a) == 0 and apply_functional(lam, b) == 0
-    assert apply_functional(lam, {0: 1}) == 1
-    target = {2: 2, 1: 4, 0: 1}  # 2b + a, reduced through the row with lead 2
+    assert apply_functional(lam, {2: 1}) == 1
+    target = {0: 2, 1: 4, 2: 1}  # 2b + a, reduced through the row with lead 2
     residual, combo = basis.reduce(target)
-    assert not residual and combo == {2: 2, 1: 1}
+    assert not residual and combo == {0: 2, 1: 1}
     prov = basis.provenance_of(combo)
     assert prov == {"a": 1, "b": 2}
     rebuilt: dict = {}
@@ -369,22 +371,22 @@ def test_non_integral_row_certificates():
             rebuilt[col] = rebuilt.get(col, 0) + c * v
     assert {k: v for k, v in rebuilt.items() if v} == target
     # a lead that does not divide the query's entry scales the work vector
-    residual, combo = basis.reduce({1: 1, 0: 1})
-    assert residual == {0: Fraction(1, 2)} and combo == {1: Fraction(1, 2)}
+    residual, combo = basis.reduce({1: 1, 2: 1})
+    assert residual == {2: Fraction(1, 2)} and combo == {1: Fraction(1, 2)}
     assert basis.provenance_of(combo) == {"a": Fraction(1, 2)}
 
 
 def test_provenance_keeps_one_denominator_per_row():
     basis = make_basis(track=True)
     assert basis.insert({1: 1}, "a")
-    assert basis.insert({1: 1, 0: 2}, "b")  # (b - a) / 2 is primitive
-    assert basis.rows[0] == {0: 1}
-    assert basis.prov[0] == {"b": 1, "a": -1} and basis.den[0] == 2
-    assert basis.insert({2: -3, 0: 1}, "c")  # a negative lead is made positive
-    assert basis.rows[2] == {2: 3, 0: -1}
-    assert basis.prov[2] == {"c": -1} and basis.den == {0: 2}
-    residual, combo = basis.reduce({2: 3, 1: 1, 0: 1})
-    assert not residual and combo == {2: 1, 1: 1, 0: 2}
+    assert basis.insert({1: 1, 2: 2}, "b")  # (b - a) / 2 is primitive
+    assert basis.rows[2] == {2: 1}
+    assert basis.prov[2] == {"b": 1, "a": -1} and basis.den[2] == 2
+    assert basis.insert({0: -3, 2: 1}, "c")  # a negative lead is made positive
+    assert basis.rows[0] == {0: 3, 2: -1}
+    assert basis.prov[0] == {"c": -1} and basis.den == {2: 2}
+    residual, combo = basis.reduce({0: 3, 1: 1, 2: 1})
+    assert not residual and combo == {0: 1, 1: 1, 2: 2}
     prov = basis.provenance_of(combo)
     assert prov == {"b": 1, "c": -1}  # the target is b - c
     assert_primitive_rows(basis)

@@ -684,7 +684,8 @@ def whole_piece_verdict(n, gens, f):
     """Reference oracle: eliminate every row g * m of the degree piece in one
     TriangularBasis, in piece order, and derive the certificate from it.
     Rows are built in monomial space by `times_monomial`; each monomial is
-    then mapped to its `term_key` column."""
+    then mapped to its `term_key` column, which orders one degree as the
+    piece's columns do."""
     key = lambda mon: term_key(n, mon)
     mon_of = {}
 
@@ -707,13 +708,14 @@ def whole_piece_verdict(n, gens, f):
         items.sort(key=lambda t: (t[0], key(t[1])))
         combination = [{"gen": gi, "monomial": [[*v, e] for v, e in m], "coeff": str(c)} for gi, m, c in items]
         return {"status": MEMBER, "combination": combination}, rows
-    lam = basis.annihilator(max(residual))
+    lam = basis.annihilator(min(residual))
     functional = records({mon_of[col]: c for col, c in sorted(lam.items(), reverse=True)})
     return {"status": NON_MEMBER, "functional": functional}, rows
 
 
 def generator_pool(n):
-    """Torus-homogeneous generators of degrees 1 and 2, and one that is not."""
+    """Torus-weight generators of degrees 1 and 2, and one that is not a
+    weight vector, though its restriction to the diagonal is."""
     x = lambda r, c: Polynomial.variable(n, r, c)
     homogeneous = [
         principal_minor_sum(n, 1),
@@ -741,13 +743,12 @@ def assert_blocks_match_whole_piece(n, gens, f):
 @given(
     st.sampled_from([3, 4]),
     st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True),
-    st.booleans(),
     st.lists(st.tuples(st.integers(0, 99), st.integers(0, 999), st.integers(-3, 3)), max_size=4),
     st.lists(st.tuples(st.integers(0, 9999), st.integers(-2, 2)), max_size=3),
 )
-def test_blocks_match_whole_piece(n, picks, inhomogeneous, products, extras):
-    homogeneous, odd = generator_pool(n)
-    gens = [homogeneous[k] for k in picks] + ([odd] if inhomogeneous else [])
+def test_blocks_match_whole_piece(n, picks, products, extras):
+    homogeneous, _ = generator_pool(n)
+    gens = [homogeneous[k] for k in picks]
     degree = 3
     f = Polynomial.zero(n)
     for gk, mk, c in products:
@@ -764,20 +765,16 @@ def test_blocks_match_whole_piece(n, picks, inhomogeneous, products, extras):
 @given(
     st.sampled_from([3, 4]),
     st.lists(st.integers(0, 4), min_size=1, max_size=4),
-    st.one_of(st.none(), st.integers(0, 4)),
     st.booleans(),
     st.lists(st.tuples(st.integers(0, 99), st.integers(0, 999), st.integers(-3, 3)), min_size=1, max_size=4),
     st.lists(st.tuples(st.integers(0, 9999), st.integers(-2, 2)), max_size=2),
 )
-def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, odd_at, diagonal, products, extras):
-    # one piece, on the weight blocks or on the diagonal slice, and with an
-    # inhomogeneous generator anywhere in the list, answers a run of
-    # candidates as a fresh piece answers each; every verdict re-verifies,
-    # and the slice never answers `member`
-    homogeneous, odd = generator_pool(n)
+def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, diagonal, products, extras):
+    # one piece, on the weight blocks or on the diagonal slice, answers a
+    # run of candidates as a fresh piece answers each; every verdict
+    # re-verifies, and the slice never answers `member`
+    homogeneous, _ = generator_pool(n)
     gens = [homogeneous[k] for k in picks]
-    if odd_at is not None:
-        gens.insert(odd_at % (len(gens) + 1), odd)
     degree = 3
     top = monomials_of_degree(n, degree)
     candidates = []
@@ -789,8 +786,6 @@ def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, odd_at, diag
             f = f + Polynomial(n, {top[ek % len(top)]: ec})
         candidates.append(f)
     piece = GradedPiece(n, gens, degree, diagonal=diagonal)
-    # rho(odd) is the weight vector x_11, so only the full piece merges its blocks
-    assert piece._graded == (diagonal or odd_at is None)
     for f in candidates:
         verdict = piece.contains(f)
         assert verdict == GradedPiece(n, gens, degree, diagonal=diagonal).contains(f)
@@ -816,11 +811,19 @@ def test_mixed_weight_candidate_uses_the_failing_block():
     assert verdict["status"] == MEMBER
 
 
-def test_inhomogeneous_generator_gives_one_block():
+def test_non_weight_generator_is_rejected():
+    # one rule on the weight blocks and on the slice, checked before
+    # restriction: rho(odd) is the weight vector x_11, and rho(x_12 + x_21)
+    # is zero
     homogeneous, odd = generator_pool(3)
-    f = principal_minor_sum(3, 2) + Polynomial.variable(3, 1, 1) * Polynomial.variable(3, 2, 3)
-    piece, _ = assert_blocks_match_whole_piece(3, [homogeneous[0], odd], f)
-    assert len(piece.rows) == 2 * 9  # both generators times every degree-1 monomial
+    x = lambda r, c: Polynomial.variable(3, r, c)
+    for diagonal in (False, True):
+        for gen in (odd, x(1, 2) + x(2, 1)):
+            for gens in ([homogeneous[0], gen], [gen, homogeneous[1]]):
+                with pytest.raises(ValueError, match="torus-weight"):
+                    GradedPiece(3, gens, 2, diagonal=diagonal)
+    with pytest.raises(ValueError, match="torus-weight"):
+        ideal_contains(x(1, 1) * x(2, 2), [homogeneous[0], odd])
 
 
 # -- certificates against the stored form of the rows -------------------------

@@ -222,3 +222,21 @@ def test_family_prefix_cap():
     assert family_rank(4, 4, 1) == 16
     assert family_rank(2, 2, 1) == 4
     assert [len(minor_sum_basis(3, i, 3)) for i in range(0, 4)] == [1, 1, 1, 1]
+
+
+def test_prefixes_past_the_minor_size_share_one_elimination():
+    # a prefix longer than the minor size names the family of length `size`,
+    # so a `dims` sweep eliminates each distinct family once, and
+    # `minor_sum_basis` reuses the elimination of `family_rank`
+    from orbitideals.minors import _kept_pairs
+
+    _kept_pairs.cache_clear()
+    n = 4
+    for p in range(1, n + 1):
+        for i in range(n + 1):
+            family_rank(n, i, p)
+    distinct = sum(p + 1 for p in range(1, n + 1))  # lengths 0..p at size p
+    assert _kept_pairs.cache_info().misses == distinct
+    minor_sum_basis.cache_clear()
+    assert len(minor_sum_basis(n, n, 2)) == family_rank(n, 2, 2)
+    assert _kept_pairs.cache_info().misses == distinct
