@@ -7,8 +7,9 @@ resource refusal.  Every verdict comes from a library suite
 (`verify_minimal`, `verify_redundant`, `verify_rel1`, `verify_vanishing`).
 `main` alone prints a report and picks every exit code: 0 success,
 1 verification mismatch, 2 usage error (or an unwritable generators
-file), 3 resource refusal.  `generators` prints its own stdout,
-which is the text of the file it writes with "path" added.  Reports are
+file), 3 resource refusal.  `generators` prints its own stdout: it
+streams its report to the file one polynomial at a time, and only then
+copies the file to stdout, with "path" added.  Reports are
 byte-identical across runs with the same configuration; the JSON shape is
 described by report_schema.json shipped with the package.
 """
@@ -41,6 +42,8 @@ from .schur import dimension_table, layer_basis, layer_dimension
 DEFAULT_MAX_N = 5
 WORKDIR_ENV = "ORBIT_IDEALS_WORKDIR"
 BLOCK = 1 << 16
+# the end of every generators file: the last key of its report, sorted
+GENERATORS_TAIL = '\n  "report": "generators"\n}\n'
 
 
 class _Refused(Exception):
@@ -62,14 +65,22 @@ def _report(args, fields: dict) -> dict:
     return {"report": args.command, "config": config, **fields}
 
 
+# the types whose text _Encoder's walk builds from their items
+NESTED = frozenset((dict, list, tuple, Polynomial))
+
+
 class _Encoder(json.JSONEncoder):
-    """The bytes of json.dumps(o, indent=2, sort_keys=True), the only
-    arguments _encode passes, without the stdlib's pure-Python generator
-    encoder (CPython's C encoder takes only indent=None).  Each dict and
-    list is built with one str.join and strings go through the C
-    encode_basestring_ascii.  For one encode call the text of every key,
-    and of every all-int list (monomial triples, Jordan point rows) at its
-    depth, is cached.
+    """The bytes of json.dumps(o, indent=2, sort_keys=True) and of
+    json.dump with those arguments, the only ones this module passes,
+    without the stdlib's pure-Python generator encoder (CPython's C encoder
+    takes only indent=None).  `iterencode` is one walk over the tree that
+    yields the text of each `Polynomial` as one piece and the text between
+    two polynomials as another, so json.dump writes a generators report
+    without its whole text ever existing; `encode` joins the pieces.
+    Strings go through the C encode_basestring_ascii.  For one walk the
+    text of every key, of every all-int list (monomial triples, Jordan
+    point rows) at its depth, and of every monomial pair at its depth, is
+    cached.
 
     A `Polynomial` (exactly that type) is written as the text of its
     `to_records()` without building them: one walk over its sorted terms,
@@ -81,8 +92,14 @@ class _Encoder(json.JSONEncoder):
     its text is first cached)."""
 
     def encode(self, o):
+        return "".join(self.iterencode(o))
+
+    def iterencode(self, o):
         keys: dict[str, str] = {}
         ints: dict[tuple, str] = {}
+        pairs: dict[int, dict] = {}
+        # the text since the last polynomial, joined when the next one comes
+        buf: list[str] = []
 
         def int_list(o: tuple, level: int) -> str:
             key = (o, level)
@@ -100,43 +117,29 @@ class _Encoder(json.JSONEncoder):
             # a record at level + 1, its fields at level + 2, triples at level + 3
             rec, field, triple = ("\n" + "  " * (level + k) for k in (1, 2, 3))
             head, middle, tail = "{" + field + '"coeff": ', "," + field + '"monomial": ', rec + "}"
+            texts = pairs.get(level)
+            if texts is None:
+                texts = pairs[level] = {}
             parts = []
             for mon, c in terms:
                 if mon:
-                    triples = ("," + triple).join([int_list((r, col, e), level + 3) for (r, col), e in mon])
-                    text = "[" + triple + triples + field + "]"
+                    try:
+                        items = [texts[pair] for pair in mon]
+                    except KeyError:
+                        for pair in mon:
+                            (r, col), e = pair
+                            texts[pair] = int_list((r, col, e), level + 3)
+                        items = [texts[pair] for pair in mon]
+                    text = "[" + triple + ("," + triple).join(items) + field + "]"
                 else:
                     text = "[]"
                 parts.append(head + _quote(str(c)) + middle + text + tail)
             return "[" + rec + ("," + rec).join(parts) + "\n" + "  " * level + "]"
 
-        def enc(o, level: int) -> str:
+        def scalar(o) -> str:
             t = type(o)
             if t is str:
                 return _quote(o)
-            if t is dict:
-                if not o:
-                    return "{}"
-                inner = "\n" + "  " * (level + 1)
-                parts = []
-                for k in sorted(o):
-                    head = keys.get(k)
-                    if head is None:
-                        if type(k) is not str:
-                            raise TypeError(k)
-                        head = keys[k] = _quote(k) + ": "
-                    parts.append(head + enc(o[k], level + 1))
-                return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * level + "}"
-            if t is list or t is tuple:
-                if not o:
-                    return "[]"
-                if type(o[0]) is int and all(type(x) is int for x in o):
-                    return int_list(tuple(o), level)
-                inner = "\n" + "  " * (level + 1)
-                items = ("," + inner).join([enc(x, level + 1) for x in o])
-                return "[" + inner + items + "\n" + "  " * level + "]"
-            if t is Polynomial:
-                return polynomial(o, level)
             if t is int:
                 return int.__repr__(o)
             if o is None:
@@ -147,20 +150,64 @@ class _Encoder(json.JSONEncoder):
                 return "false"
             raise TypeError(t)
 
-        return enc(o, 0)
+        def walk(o, level: int):
+            """Append the text of o at depth `level` to buf, yielding the
+            text of each polynomial, with what buf held before it."""
+            t = type(o)
+            if t is Polynomial:
+                if buf:
+                    yield "".join(buf)
+                    buf.clear()
+                yield polynomial(o, level)
+                return
+            if t is dict:
+                if not o:
+                    buf.append("{}")
+                    return
+                inner = "\n" + "  " * (level + 1)
+                sep = "{" + inner
+                for k in sorted(o):
+                    head = keys.get(k)
+                    if head is None:
+                        if type(k) is not str:
+                            raise TypeError(k)
+                        head = keys[k] = _quote(k) + ": "
+                    v = o[k]
+                    if type(v) in NESTED:
+                        buf.append(sep + head)
+                        yield from walk(v, level + 1)
+                    else:
+                        buf.append(sep + head + scalar(v))
+                    sep = "," + inner
+                buf.append("\n" + "  " * level + "}")
+                return
+            if t is list or t is tuple:
+                if not o:
+                    buf.append("[]")
+                    return
+                if type(o[0]) is int and all(type(x) is int for x in o):
+                    buf.append(int_list(tuple(o), level))
+                    return
+                inner = "\n" + "  " * (level + 1)
+                sep = "[" + inner
+                for x in o:
+                    if type(x) in NESTED:
+                        buf.append(sep)
+                        yield from walk(x, level + 1)
+                    else:
+                        buf.append(sep + scalar(x))
+                    sep = "," + inner
+                buf.append("\n" + "  " * level + "]")
+                return
+            buf.append(scalar(o))
+
+        yield from walk(o, 0)
+        if buf:
+            yield "".join(buf)
 
 
 def _encode(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True, cls=_Encoder)
-
-
-def _write_blocks(stream, text: str, stop: int):
-    """Write text[:stop] in 64 KiB blocks.  A generators report at n = 6
-    runs to 6.5 MB; written whole, it is copied by the slice and again by
-    the stream's encoder, which raises the peak RSS of exporting every
-    partition of 6 by about 1.7 MB (3 %)."""
-    for k in range(0, stop, BLOCK):
-        stream.write(text[k : min(k + BLOCK, stop)])
 
 
 def _descriptor_dicts(layers, n: int):
@@ -246,19 +293,29 @@ def cmd_generators(args):
     report = _report(args, {"partition": str(mu), "n": n, "families": families})
     workdir = os.environ.get(WORKDIR_ENV, ".")
     filename = os.path.join(workdir, f"generators_{str(mu).replace(',', '_')}.json")
-    text = _encode(report)
+    # streamed to a temporary name, so that a failed write leaves no
+    # truncated file under the real one
+    partial = f"{filename}.{os.getpid()}.tmp"
     try:
-        with open(filename, "w") as fh:
-            _write_blocks(fh, text, len(text))
+        with open(partial, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True, cls=_Encoder)
             fh.write("\n")
+        os.replace(partial, filename)
     except OSError as exc:
         raise ValueError(str(exc)) from exc
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     if args.json:
         # stdout is the file's report with "path" added; sorted, that key
-        # falls just before "report", the last key of the top-level object
-        cut = text.rindex('\n  "report": ')
-        _write_blocks(sys.stdout, text, cut)
-        print(f'\n  "path": {_quote(filename)},{text[cut:]}')
+        # falls just before "report", the last key of the top-level object,
+        # so the file is copied up to that fixed tail (its text is ASCII)
+        with open(filename) as fh:
+            left = os.fstat(fh.fileno()).st_size - len(GENERATORS_TAIL)
+            while left > 0 and (block := fh.read(min(BLOCK, left))):
+                sys.stdout.write(block)
+                left -= len(block)
+        sys.stdout.write(f'\n  "path": {_quote(filename)},{GENERATORS_TAIL}')
     else:
         print(f"wrote {filename}")
         for fam in families:

@@ -696,7 +696,8 @@ def test_one_parser_serves_every_call(capsys):
 
 def test_generators_encodes_once(tmp_path, monkeypatch, capsys):
     # perfbench/layers.py charges cli.json.dump and cli.json.dumps to
-    # cli.serialize_s; the whole report must pass through one of them once
+    # cli.serialize_s; the whole report must pass through one of them once,
+    # json.dump, which streams it to the file
     monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
     calls = []
     proxy = types.ModuleType(json.__name__)
@@ -715,4 +716,55 @@ def test_generators_encodes_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         code, _, _ = run(capsys, "generators", "--partition", "2,1", *flags)
         assert code == 0
-        assert calls == ["dumps"], flags
+        assert calls == ["dump"], flags
+
+
+def test_generators_stream_one_polynomial_per_piece(tmp_path, monkeypatch, capsys):
+    # the pieces join to the encoded report, and each polynomial is a piece
+    # of its own between two short separators, so no piece holds more than
+    # one polynomial's text
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
+    reports, dump = [], json.dump
+
+    def recorded(report, *args, **kwargs):
+        reports.append(report)
+        return dump(report, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dump", recorded)
+    for mu in (mu for n in range(1, 6) for mu in partitions_of(n)):
+        assert run(capsys, "generators", "--partition", str(mu), "--json")[0] == 0
+        report = reports[-1]
+        pieces = list(cli._Encoder().iterencode(report))
+        assert_same_text("".join(pieces), cli._encode(report), mu)
+        polys = [poly for f in report["families"] for poly in f["polynomials"]]
+        # a polynomial sits at depth 4: report, families, family, polynomials
+        texts = [cli._encode(poly).replace("\n", "\n" + "  " * 4) for poly in polys]
+        assert len(pieces) == 2 * len(polys) + 1, mu
+        assert pieces[1::2] == texts, mu
+        separators = pieces[0::2]
+        assert max(map(len, separators)) < 512, mu
+        assert max(map(len, pieces)) <= max(map(len, texts)) + max(map(len, separators)), mu
+
+
+def test_failed_export_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # a write that fails after its first piece exits 2 with nothing on
+    # stdout, and leaves neither a partial file nor its temporary name; a
+    # file from an earlier run stays as it was
+    monkeypatch.setenv("ORBIT_IDEALS_WORKDIR", str(tmp_path))
+    assert run(capsys, "generators", "--partition", "2,2")[0] == 0
+    earlier = (tmp_path / "generators_2_2.json").read_text()
+    iterencode = cli._Encoder.iterencode
+
+    def failing(self, o):
+        pieces = iterencode(self, o)
+        yield next(pieces)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli._Encoder, "iterencode", failing)
+    for mu in ("2,1", "2,2"):
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, "generators", "--partition", mu, *flags)
+            assert (code, out) == (2, ""), (mu, flags)
+            assert err == "error: disk full\n", (mu, flags)
+            assert [p.name for p in tmp_path.iterdir()] == ["generators_2_2.json"], (mu, flags)
+            assert (tmp_path / "generators_2_2.json").read_text() == earlier
