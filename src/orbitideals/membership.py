@@ -31,6 +31,12 @@ the diagonal, so its value at any h is its value at rho(h), and since
 rho(g * m) = rho(g) * rho(m), with rho(m) a diagonal monomial or 0, it
 vanishes on the whole graded piece: it is an ordinary functional
 certificate.  The converse fails, so the slice never answers `member`.
+
+`ideal_contains` is the one certified membership question: it asks the
+slice, then the weight blocks, and re-checks the verdict with `verify` on
+the piece that gave it.  The invariant and excluded-depth checks of
+`verify_minimal` and the steps of `verify_rel1` all ask through it, and
+read the status it returns.
 """
 
 from __future__ import annotations
@@ -247,21 +253,27 @@ class GradedPiece:
         )
 
 
-def ideal_contains(f: Polynomial, gens) -> dict:
+def ideal_contains(f: Polynomial, gens) -> tuple[dict, str]:
     """Decide whether f lies in the ideal generated by `gens`, each a
-    torus-weight vector (ValueError otherwise; `GradedPiece`).
+    torus-weight vector (ValueError otherwise; `GradedPiece`), and re-check
+    the answer.
 
-    The diagonal slice is tried first: it is far smaller than the weight
-    blocks, and its non-member functional certifies the full ring.  When
-    rho(f) lies in the restricted ideal the slice proves nothing, and the
-    weight blocks decide."""
+    Returns (verdict, status): the verdict of the first piece that decides,
+    and its status once that same piece's `GradedPiece.verify` accepts its
+    certificate, "unverified" otherwise.  The diagonal slice is asked first
+    when rho(f) != 0: it is far smaller than the weight blocks, and its
+    non-member functional certifies the full ring.  When rho(f) is zero or
+    lies in the restricted ideal, the slice proves nothing, and the weight
+    blocks decide."""
     gens = tuple(gens)
-    if f.is_zero():
-        return {"status": MEMBER, "combination": []}
-    verdict = GradedPiece(f.n, gens, f.degree, diagonal=True).contains(f)
+    verdict = None
+    if any(map(_is_diagonal, f.terms)):  # rho(f) != 0
+        piece = GradedPiece(f.n, gens, f.degree, diagonal=True)
+        verdict = piece.contains(f)
     if verdict is None:
-        verdict = GradedPiece(f.n, gens, f.degree).contains(f)
-    return verdict
+        piece = GradedPiece(f.n, gens, f.degree)
+        verdict = piece.contains(f)
+    return verdict, verdict["status"] if piece.verify(f, verdict) else "unverified"
 
 
 # -- schedule verification ---------------------------------------------------
@@ -337,12 +349,12 @@ def verify_rel1(n: int) -> dict:
     V(i,p+1) adds the layers k = 0 and 1 over V(0,p+1) at i = 1, and the
     layer k = i after that, so h_k(p+1) of each nonzero one is asked
     against the layers of V(i,p) (`_step_layers`) by `_query_status`, and
-    counts once `is_highest_weight` and `GradedPiece.verify` accept it.  The
-    ideal of V(i,p) only grows with i, so a vector shown a member stays one,
-    and a vector not shown one is asked again at the next depth.  Returns
-    the JSON-ready report: `kind` "rel1", `n`, one `results` entry
-    {i, p, all_member} per pair, `all_member` when no vector is pending,
-    and `ok` when every pair holds."""
+    counts once `is_highest_weight` accepts it and `ideal_contains` has
+    re-checked its certificate.  The ideal of V(i,p) only grows with i, so
+    a vector shown a member stays one, and a vector not shown one is asked
+    again at the next depth.  Returns the JSON-ready report: `kind` "rel1",
+    `n`, one `results` entry {i, p, all_member} per pair, `all_member` when
+    no vector is pending, and `ok` when every pair holds."""
     if n < 2:
         raise ValueError(f"no pair 1 <= i <= p < n for n = {n}: the sweep would be vacuous")
     results = []
@@ -479,28 +491,28 @@ def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
 
 
 def _query_status(n: int, k: int, q: int, layers) -> str:
-    """The status of one highest-weight query: its verdict's, once
-    `is_highest_weight` accepts h_k(q) and `GradedPiece.verify` accepts the
-    verdict's certificate, and "unverified" otherwise."""
+    """The status of one highest-weight query, h_k(q) against the
+    representatives of `layers`: the re-checked status of `ideal_contains`
+    once `is_highest_weight` accepts h_k(q), and "unverified" otherwise."""
     h = highest_weight_vector(n, k, q)
-    piece = GradedPiece(n, [g for j, size in layers for g in layer_basis(n, j, size)], q)
-    verdict = piece.contains(h)
-    return verdict["status"] if is_highest_weight(h, k) and piece.verify(h, verdict) else "unverified"
+    _, status = ideal_contains(h, [g for j, size in layers for g in layer_basis(n, j, size)])
+    return status if is_highest_weight(h, k) else "unverified"
 
 
 def verify_minimal(mu: Partition) -> dict:
     """Verify the minimal schedule end to end at desk scale.
 
     Scheduled minor spaces get vanishing-point non-membership certificates
-    at the Jordan matrices of witness orbits; invariants are checked against
-    the remaining generators by the graded oracle, whose verdict is the
-    check's `detail` and counts only once `GradedPiece.verify` accepts its
-    certificate (status "unverified" otherwise).  An excluded depth i with a
-    nonzero layer at its size p is certified from highest-weight vectors:
-    the queries of `_excluded_queries` show all of V(i,p), not only its
-    `layer_basis` representatives, in the ideal of the scheduled generators
-    of depth < i.  Each query counts once `GradedPiece.verify` accepts its
-    combination and `schur.is_highest_weight` its vector; its `detail` keeps
+    at the Jordan matrices of witness orbits; each invariant is asked
+    against the remaining generators by `ideal_contains`, whose verdict is
+    the check's `detail` and whose re-checked status is the check's status
+    ("unverified" when the deciding piece rejects the certificate).  An
+    excluded depth i with a nonzero layer at its size p is certified from
+    highest-weight vectors: the queries of `_excluded_queries` show all of
+    V(i,p), not only its `layer_basis` representatives, in the ideal of the
+    scheduled generators of depth < i.  Each query (`_query_status`) counts
+    once `ideal_contains` has re-checked its combination and
+    `schur.is_highest_weight` accepts its vector; its `detail` keeps
     `zero_space` and `candidates` (the layer dimension, 0 for a zero space)
     and lists the `queries` {layer, p, generators, status}, the generators
     by layer.  Inconclusive outcomes are reported, never silenced.
@@ -521,10 +533,8 @@ def verify_minimal(mu: Partition) -> dict:
     _, gens = scheduled_generators(mu)
     # the invariant layers come first, one generator each
     for k, p in enumerate(p for i, p in layers if not i):
-        f, others = gens[k], gens[:k] + gens[k + 1 :]
-        verdict = ideal_contains(f, others)
-        certified = GradedPiece(n, others, p, diagonal="slice" in verdict).verify(f, verdict)
-        checks.append(_check("invariant", 0, p, NON_MEMBER, verdict["status"] if certified else "unverified", verdict))
+        verdict, status = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
+        checks.append(_check("invariant", 0, p, NON_MEMBER, status, verdict))
 
     for i in excluded_depths(mu):
         p = mu.critical_size(i)

@@ -10,9 +10,10 @@ exact Fraction (or int when the matrix has integer entries).
 A monomial is a tuple of ((row, col), exponent) pairs strictly increasing
 in (row, col) with all exponents positive, the one form the constructor
 accepts (`checked_degree`).  The canonical term order is graded lex on the
-exponent vector in (row, col) order; serialization lists terms in
-descending canonical order.  Diagonal conjugation gives every monomial a
-torus weight in Z^n (`mon_weight`).
+exponent vector in (row, col) order; within one degree d it is the order of
+the int `pack(n, mon, d)`, and serialization lists terms in descending
+canonical order.  Diagonal conjugation gives every monomial a torus weight
+in Z^n (`mon_weight`).
 """
 
 from __future__ import annotations
@@ -69,25 +70,12 @@ def mon_from_record(n: int, triples) -> Mon:
     return mon
 
 
-def term_key(n: int, mon: Mon) -> int:
-    """Graded-lex sort key packed into one int: the degree header, then the
-    exponent digits `pack(n, mon, d)`.  A higher degree both raises the
-    header and widens the digits, so comparing keys compares (degree,
-    dense exponent vector) lexicographically."""
-    d = mon_degree(mon)
-    return key_header(n, d) + pack(n, mon, d)
-
-
-def key_header(n: int, d: int) -> int:
-    """The degree digit that heads the term key of every degree-d monomial."""
-    return d << (n * n * d.bit_length())
-
-
 def pack(n: int, mon: Mon, d: int) -> int:
     """The exponent digits of `mon` in (row, col) order, most significant
-    first, each `d.bit_length()` bits wide.  No exponent of a monomial of
-    degree <= d overflows its digit, so for deg a + deg b = d,
-    term_key(n, a * b) == key_header(n, d) + pack(n, a, d) + pack(n, b, d)."""
+    first, each `d.bit_length()` bits wide.  Comparing the packs of two
+    degree-d monomials compares them in the canonical order.  No exponent of
+    a monomial of degree <= d overflows its digit, so for deg a + deg b = d,
+    pack(n, a * b, d) == pack(n, a, d) + pack(n, b, d)."""
     bits = d.bit_length()
     top = n * n
     key = 0
@@ -97,8 +85,8 @@ def pack(n: int, mon: Mon, d: int) -> int:
 
 
 def unpack(n: int, key: int, d: int) -> Mon:
-    """The monomial whose `pack(n, ., d)` digits are the low digits of
-    `key`; the header of a degree-d term key is ignored."""
+    """The monomial whose `pack(n, ., d)` digits are the low n*n digits of
+    `key`."""
     bits = d.bit_length()
     digits = [(key >> ((n * n - 1 - k) * bits)) & ((1 << bits) - 1) for k in range(n * n)]
     return tuple(((k // n + 1, k % n + 1), e) for k, e in enumerate(digits) if e)
@@ -131,7 +119,7 @@ def monomials_of_degree(n: int, d: int, variables=None) -> list[Mon]:
         for v in combo:
             exps[v] = exps.get(v, 0) + 1
         out.append(tuple(sorted(exps.items())))
-    # one degree, so one key header: the exponent digits alone give the order
+    # one degree, so the exponent digits alone give the order
     out.sort(key=lambda m: pack(n, m, d), reverse=True)
     return out
 
@@ -263,7 +251,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Mon, int]]:
         """Terms in descending canonical order (leading term first).  The
-        terms share one degree, so they sort by `pack` without the header."""
+        terms share one degree, so they sort by `pack`."""
         n, d = self.n, self.degree
         return sorted(self.terms.items(), key=lambda t: pack(n, t[0], d), reverse=True)
 

@@ -358,7 +358,8 @@ def test_membership_rel1_rests_on_its_certificates(capsys, monkeypatch, times, f
     # the verdicts for h_0 = t_3 at n = 4 lose their combination, the first
     # one only or all of them, so `GradedPiece.verify` rejects them and pair
     # (1,2) fails; t_3 stays pending and is asked again at depth 2, against
-    # V(2,2), so pair (2,2) holds unless that verdict is forged too
+    # V(2,2), so pair (2,2) holds unless that verdict is forged too; the
+    # slice, asked first since rho(t_3) != 0, answers None and is passed over
     n, p = 4, 2
     t = highest_weight_vector(n, 0, p + 1)
     honest = membership.GradedPiece.contains
@@ -366,7 +367,7 @@ def test_membership_rel1_rests_on_its_certificates(capsys, monkeypatch, times, f
 
     def forge(piece, f):
         verdict = honest(piece, f)
-        if f == t and len(forged) != times:
+        if f == t and verdict is not None and len(forged) != times:
             forged.append(verdict)
             return {**verdict, "combination": []}
         return verdict
@@ -451,7 +452,7 @@ def test_verify_failing_check_exits_one(monkeypatch, capsys):
     # an oracle that wrongly answers `member` fails the invariant checks; its
     # empty combination certifies nothing, so the status is `unverified`, yet
     # the report it gives is typed
-    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: {"status": "member", "combination": []})
+    monkeypatch.setattr(membership.GradedPiece, "contains", lambda piece, f: {"status": "member", "combination": []})
     code, out, _ = run(capsys, "verify", "minimal", "--partition", "3")
     assert code == 1
     lines = out.splitlines()

@@ -22,8 +22,8 @@ from orbitideals.membership import (
 )
 from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
 from orbitideals.partitions import Partition, excluded_depths, minimal_schedule, minor_space_vanishes, partitions_of
-from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, term_key
-from orbitideals.schur import layer_basis
+from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, pack
+from orbitideals.schur import highest_weight_vector, layer_basis
 from test_linalg import FractionBasis
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
@@ -42,8 +42,8 @@ def functional_of(verdict) -> dict:
 def test_member_by_construction():
     g = principal_minor_sum(3, 2)
     f = g.times_monomial((((1, 2), 1),))
-    verdict = ideal_contains(f, [g])
-    assert verdict["status"] == MEMBER
+    verdict, status = ideal_contains(f, [g])
+    assert status == verdict["status"] == MEMBER
     assert verdict["combination"] == [{"gen": 0, "monomial": [[1, 2, 1]], "coeff": "1"}]
     piece = GradedPiece(3, [g], 3)
     assert piece.verify(f, verdict)
@@ -52,8 +52,8 @@ def test_member_by_construction():
 def test_trivial_non_member_empty_piece():
     g = principal_minor_sum(3, 2)
     f = Polynomial.variable(3, 1, 2)
-    verdict = ideal_contains(f, [g])
-    assert verdict["status"] == NON_MEMBER
+    verdict, status = ideal_contains(f, [g])
+    assert status == verdict["status"] == NON_MEMBER
     piece = GradedPiece(3, [g], 1)
     # every block of the degree-1 piece is empty, not only those built so far
     weights = {mon_weight(3, m) for m in monomials_of_degree(3, 1)}
@@ -64,8 +64,8 @@ def test_trivial_non_member_empty_piece():
 
 
 def test_zero_candidate_is_member():
-    verdict = ideal_contains(Polynomial.zero(3), [principal_minor_sum(3, 1)])
-    assert verdict["status"] == MEMBER
+    verdict, status = ideal_contains(Polynomial.zero(3), [principal_minor_sum(3, 1)])
+    assert status == verdict["status"] == MEMBER
     assert verdict["combination"] == []
 
 
@@ -78,8 +78,8 @@ def test_degree_mismatch_rejected():
 def test_non_member_functional_certificate():
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    verdict = ideal_contains(f, [t1])
-    assert verdict["status"] == NON_MEMBER
+    verdict, status = ideal_contains(f, [t1])
+    assert status == verdict["status"] == NON_MEMBER
     lam = functional_of(verdict)
     # every row t1 * m of the degree-2 piece, built here rather than read
     # from a piece, whose blocks are built only on demand
@@ -99,7 +99,8 @@ def test_non_member_functional_certificate():
 def test_member_certificate_fails_on_tampering():
     g = principal_minor_sum(3, 2)
     f = g.times_monomial((((1, 2), 1),))
-    verdict = ideal_contains(f, [g])
+    verdict, status = ideal_contains(f, [g])
+    assert status == verdict["status"] == MEMBER
     piece = GradedPiece(3, [g], 3)
     tampered = f + g.times_monomial((((1, 1), 1),))
     assert not piece.verify(tampered, verdict)
@@ -111,7 +112,7 @@ def test_verdict_without_certificate_is_rejected(monkeypatch):
     uncertified = {"status": "consistent_non_member"}
     assert not GradedPiece(3, [t1], 2).verify(f, uncertified)
     # verify_minimal accepts an invariant only with a functional certificate
-    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: uncertified)
+    monkeypatch.setattr(GradedPiece, "contains", lambda piece, f: uncertified)
     report = verify_minimal(Partition((3,)))
     assert [c["ok"] for c in report["checks"]] == [False, False, False]
     assert not report["ok"]
@@ -131,11 +132,41 @@ def test_invariant_check_rests_on_its_certificate(monkeypatch, forge):
     # a `non_member` status alone does not pass: each invariant verdict of
     # (3) is re-checked, and a missing or altered functional fails
     assert verify_minimal(Partition((3,)))["ok"]
-    honest = membership.ideal_contains
-    monkeypatch.setattr(membership, "ideal_contains", lambda f, gens: forge(honest(f, gens)))
+    honest = GradedPiece.contains
+    monkeypatch.setattr(GradedPiece, "contains", lambda piece, f: forge(honest(piece, f)))
     report = verify_minimal(Partition((3,)))
     assert [(c["kind"], c["status"], c["ok"]) for c in report["checks"]] == [("invariant", "unverified", False)] * 3
     assert not report["ok"]
+
+
+@pytest.fixture
+def built_pieces(monkeypatch):
+    """Every `GradedPiece` built while the test runs, in order."""
+    built = []
+    init = GradedPiece.__init__
+
+    def recorded(piece, *args, **kwargs):
+        init(piece, *args, **kwargs)
+        built.append(piece)
+
+    monkeypatch.setattr(GradedPiece, "__init__", recorded)
+    return built
+
+
+@pytest.mark.parametrize(
+    "mu, diagonals",
+    [
+        ((3,), [True] * 3),
+        # t_1 and t_2 on the slice, then the queries h_2, h_1 and h_0 = t_3 of
+        # depth 2: only t_3 has rho != 0, and its slice answers None
+        ((2, 2, 1), [True, True, False, False, True, False]),
+    ],
+)
+def test_verify_minimal_asks_each_question_once(built_pieces, mu, diagonals):
+    # each verdict is re-checked on the piece that gave it, so no piece is
+    # built again to verify it
+    assert verify_minimal(Partition(mu))["ok"]
+    assert [piece.diagonal for piece in built_pieces] == diagonals
 
 
 def _first_combination_zeroed(verdict):
@@ -308,8 +339,8 @@ def test_rel1_members_and_t1_non_member_reverify():
 
     t1 = principal_minor_sum(3, 1)
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    verdict = ideal_contains(f, [t1])
-    assert verdict["status"] == NON_MEMBER
+    verdict, status = ideal_contains(f, [t1])
+    assert status == verdict["status"] == NON_MEMBER
     assert GradedPiece(3, [t1], 2).verify(f, verdict)
 
 
@@ -499,8 +530,8 @@ def test_invariants_at_n7_are_certified_on_the_slice():
     for mu in partitions_of(n):
         _, gens = scheduled_generators(mu)
         for k, p in enumerate(p for i, p in minimal_schedule(mu) if not i):
-            verdict = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
-            assert verdict["status"] == NON_MEMBER and verdict["slice"] == "diagonal", (mu, p)
+            verdict, status = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
+            assert status == verdict["status"] == NON_MEMBER and verdict["slice"] == "diagonal", (mu, p)
             checks += 1
     assert checks == (54 if LARGE else 35)
 
@@ -510,10 +541,20 @@ def test_slice_member_falls_back_to_the_weight_blocks():
     f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
     # rho(f) = 0, so the slice proves nothing
     assert GradedPiece(3, [t1], 2, diagonal=True).contains(f) is None
-    verdict = ideal_contains(f, [t1])
-    assert verdict["status"] == NON_MEMBER and "slice" not in verdict
+    verdict, status = ideal_contains(f, [t1])
+    assert status == verdict["status"] == NON_MEMBER and "slice" not in verdict
     assert any(r != c for t in verdict["functional"] for r, c, _ in t["monomial"])
     assert GradedPiece(3, [t1], 2).verify(f, verdict)
+
+
+def test_slice_is_not_asked_when_rho_is_zero(built_pieces):
+    # h_1(3) at n = 4 has weight e_1 - e_4, so rho(h_1) = 0 and the slice
+    # could only answer None: the weight blocks alone are built
+    gens = [g for j, size in membership._step_layers(4, 1, 3) for g in layer_basis(4, j, size)]
+    built_pieces.clear()
+    verdict, status = ideal_contains(highest_weight_vector(4, 1, 3), gens)
+    assert status == verdict["status"] == MEMBER
+    assert [piece.diagonal for piece in built_pieces] == [False]
 
 
 def test_member_through_ideal_contains_keeps_its_combination():
@@ -521,11 +562,40 @@ def test_member_through_ideal_contains_keeps_its_combination():
     x11 = (((1, 1), 1),)
     f = g.times_monomial(x11)  # rho(f) = e_2 * x11 is a slice member
     assert GradedPiece(3, [g], 3, diagonal=True).contains(f) is None
-    verdict = ideal_contains(f, [g])
+    verdict, status = ideal_contains(f, [g])
+    assert status == verdict["status"]
     assert verdict == GradedPiece(3, [g], 3).contains(f)
     assert verdict["combination"] == [{"gen": 0, "monomial": [[1, 1, 1]], "coeff": "1"}]
     assert "slice" not in verdict
     assert GradedPiece(3, [g], 3).verify(f, verdict)
+
+
+def _slice_non_member():
+    _, gens = scheduled_generators(Partition((3,)))
+    return gens[2], gens[:2]
+
+
+def _blocks_member():
+    g = principal_minor_sum(3, 2)
+    return g.times_monomial((((1, 1), 1),)), [g]
+
+
+@pytest.mark.parametrize("query, diagonal", [(_slice_non_member, True), (_blocks_member, False)])
+def test_verdict_its_piece_rejects_reads_unverified(monkeypatch, query, diagonal):
+    # the status is re-checked by the piece that decided, and a rejection
+    # leaves the verdict as it was
+    f, gens = query()
+    honest, status = ideal_contains(f, gens)
+    assert status == honest["status"] and ("slice" in honest) == diagonal
+    asked = []
+
+    def rejecting(piece, f, verdict):
+        asked.append(piece.diagonal)
+        return False
+
+    monkeypatch.setattr(GradedPiece, "verify", rejecting)
+    assert ideal_contains(f, gens) == (honest, "unverified")
+    assert asked == [diagonal]
 
 
 def test_slice_functional_is_checked_on_the_slice_rows():
@@ -573,8 +643,8 @@ def test_random_combinations_are_members(coeffs):
     f = Polynomial.zero(3)
     for c, (gi, mon) in zip(coeffs, multipliers):
         f = f + gens[gi].times_monomial(mon) * c
-    verdict = ideal_contains(f, gens)
-    assert verdict["status"] == MEMBER
+    verdict, status = ideal_contains(f, gens)
+    assert status == verdict["status"] == MEMBER
     piece = GradedPiece(3, gens, 3)
     assert piece.verify(f, verdict)
 
@@ -607,7 +677,8 @@ def test_every_printed_verdict_reverifies_after_a_json_round_trip():
 def test_unreadable_or_altered_certificates_are_rejected():
     g = principal_minor_sum(3, 2)
     f = g.times_monomial((((1, 2), 1),))
-    member = ideal_contains(f, [g])
+    member, status = ideal_contains(f, [g])
+    assert status == member["status"]
     piece = GradedPiece(3, [g], 3)
     term = member["combination"][0]
     broken_terms = [
@@ -662,8 +733,8 @@ def test_functional_not_in_printed_form_is_rejected():
     _, gens = scheduled_generators(Partition((3,)))
     t3, others = gens[2], gens[:2]
     piece = GradedPiece(3, others, 3, diagonal=True)
-    honest = ideal_contains(t3, others)
-    assert honest["slice"] == "diagonal" and piece.verify(t3, honest)
+    honest, status = ideal_contains(t3, others)
+    assert status == honest["status"] and honest["slice"] == "diagonal" and piece.verify(t3, honest)
     functional = honest["functional"]
     forged = [
         functional + [{"monomial": [[2, 2, 1], [1, 1, 2]], "coeff": "7"}],  # triples out of order
@@ -684,9 +755,9 @@ def whole_piece_verdict(n, gens, f):
     """Reference oracle: eliminate every row g * m of the degree piece in one
     TriangularBasis, in piece order, and derive the certificate from it.
     Rows are built in monomial space by `times_monomial`; each monomial is
-    then mapped to its `term_key` column, which orders one degree as the
-    piece's columns do."""
-    key = lambda mon: term_key(n, mon)
+    then mapped to its `pack` column at deg(f), as the piece's columns
+    are."""
+    key = lambda mon: pack(n, mon, f.degree)
     mon_of = {}
 
     def columns(terms):

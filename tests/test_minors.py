@@ -205,16 +205,16 @@ def test_nesting_of_spans():
     from fractions import Fraction
 
     from orbitideals.linalg import TriangularBasis
-    from orbitideals.polyring import term_key
+    from orbitideals.polyring import pack
 
     for n, i, p in ((3, 1, 2), (4, 1, 2), (4, 2, 3), (4, 2, 2)):
         deep = TriangularBasis()
         for _, poly in minor_sum_family(n, i, p):
             if not poly.is_zero():
-                deep.insert({term_key(n, m): Fraction(c) for m, c in poly.terms.items()})
+                deep.insert({pack(n, m, p): Fraction(c) for m, c in poly.terms.items()})
         for _, poly in minor_sum_family(n, i - 1, p):
             if not poly.is_zero():
-                assert deep.contains({term_key(n, m): c for m, c in poly.terms.items()})
+                assert deep.contains({pack(n, m, p): c for m, c in poly.terms.items()})
 
 
 def test_family_prefix_cap():

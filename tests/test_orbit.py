@@ -14,7 +14,7 @@ from orbitideals.orbit import (
     sample_orbit,
 )
 from orbitideals.partitions import Partition, partitions_of
-from orbitideals.polyring import Polynomial, term_key
+from orbitideals.polyring import Polynomial, mon_degree, pack
 
 
 def matmul(a, b):
@@ -241,7 +241,7 @@ def root_derivation(f: Polynomial, a: int, b: int) -> dict:
 
 def unstable_images(n: int, basis) -> int:
     """How many images D_ab g, over g in `basis` and a != b, leave its span."""
-    columns = lambda terms: {term_key(n, m): c for m, c in terms.items()}
+    columns = lambda terms: {pack(n, m, mon_degree(m)): c for m, c in terms.items()}
     span = TriangularBasis()
     for g in basis:
         span.insert(columns(g.terms))

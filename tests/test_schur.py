@@ -14,7 +14,7 @@ from orbitideals.minors import (
     prefixed_minor_sum,
     principal_minor_sum,
 )
-from orbitideals.polyring import raising_derivation, term_key
+from orbitideals.polyring import pack, raising_derivation
 from orbitideals.schur import (
     dimension_table,
     highest_weight_vector,
@@ -28,8 +28,8 @@ LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
 
 def columns(poly):
-    """The terms of poly on `term_key` columns, as TriangularBasis takes them."""
-    return {term_key(poly.n, m): c for m, c in poly.terms.items()}
+    """The terms of poly on `pack` columns, as TriangularBasis takes them."""
+    return {pack(poly.n, m, poly.degree): c for m, c in poly.terms.items()}
 
 
 def test_layer_dimension_values():
@@ -100,7 +100,7 @@ def test_layer_basis_extends_previous_span():
         basis = TriangularBasis()
         for _, poly in minor_sum_family(n, i - 1, p):
             if not poly.is_zero():
-                basis.insert({term_key(n, m): Fraction(c) for m, c in poly.terms.items()})
+                basis.insert({pack(n, m, p): Fraction(c) for m, c in poly.terms.items()})
         start = basis.rank
         for poly in layer_basis(n, i, p):
             assert basis.insert(columns(poly))
