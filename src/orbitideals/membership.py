@@ -212,9 +212,10 @@ class GradedPiece:
         """Re-check a verdict of `contains`, or its `json.loads`, by
         independent exact arithmetic.  Only `member` and `non_member` carry a
         certificate, and one that cannot be read fails: a missing key, a `gen`
-        outside range(len(gens)), a monomial not in the form reports print
-        (`mon_from_record`), a bad coefficient, a functional that names one
-        monomial twice.
+        that is not an int of range(len(gens)), a monomial not in the form
+        reports print (`mon_from_record`), a coefficient that is not the
+        string `str(Fraction(s))` gives for itself, a functional that names
+        one monomial twice.
 
         A functional is checked against every row of each block its support
         meets, rebuilt by `Polynomial.times_monomial` and not from the packed
@@ -225,19 +226,20 @@ class GradedPiece:
         docstring."""
         monomial = lambda t: mon_from_record(self.n, t["monomial"])
         try:
+            terms = verdict[{MEMBER: "combination", NON_MEMBER: "functional"}[verdict["status"]]]
+            if not all(type(s := t["coeff"]) is str and str(Fraction(s)) == s for t in terms):
+                return False
             if verdict["status"] == MEMBER:
                 acc: dict = {}
-                for t in verdict["combination"]:
-                    if t["gen"] not in range(len(self.gens)):
+                for t in terms:
+                    if type(t["gen"]) is not int or t["gen"] not in range(len(self.gens)):
                         return False
                     coeff, mon = Fraction(t["coeff"]), monomial(t)
                     for m2, c2 in self.gens[t["gen"]].times_monomial(mon).terms.items():
                         acc[m2] = acc.get(m2, 0) + coeff * c2
                 return {m: c for m, c in acc.items() if c} == f.terms
-            if verdict["status"] != NON_MEMBER:
-                return False
-            lam = {monomial(t): Fraction(t["coeff"]) for t in verdict["functional"]}
-            if len(lam) != len(verdict["functional"]):
+            lam = {monomial(t): Fraction(t["coeff"]) for t in terms}
+            if len(lam) != len(terms):
                 return False
         except (ArithmeticError, LookupError, TypeError, ValueError):
             return False
@@ -287,21 +289,24 @@ def _layer_name(i: int, p: int, k: int | None = None) -> str:
     return f"U_({i},{p})" if k is None else f"U_({i},{p})[{k}]"
 
 
+def _generators(n: int, layers) -> list[Polynomial]:
+    """The `layer_basis` representatives of each layer (i, p) of `layers`,
+    in order: the generators a minimality question asks against, numbered
+    as a verdict's `gen` numbers them."""
+    return [g for i, p in layers for g in layer_basis(n, i, p)]
+
+
 def scheduled_generators(mu: Partition, before_depth: int | None = None):
     """The minimal-schedule generator polynomials, with labels.
 
-    Returns (labels, polynomials): the `layer_basis` of every layer (i, p)
-    of `minimal_schedule(mu)` with i < before_depth (all when None), in
-    schedule order, so the invariants t_p come first, one polynomial each.
-    """
-    labels: list[str] = []
-    gens: list[Polynomial] = []
-    for i, p in minimal_schedule(mu):
-        if before_depth is None or i < before_depth:
-            for k, poly in enumerate(layer_basis(mu.n, i, p)):
-                labels.append(_layer_name(i, p, k))
-                gens.append(poly)
-    return labels, gens
+    Returns (labels, polynomials): the representatives (`_generators`) of
+    every layer (i, p) of `minimal_schedule(mu)` with i < before_depth (all
+    when None), in schedule order.  `verify_redundant` and
+    `verify_minor_space_certificate` read it; `verify_minimal` does not,
+    since each of its questions names its own layers."""
+    layers = [(i, p) for i, p in minimal_schedule(mu) if before_depth is None or i < before_depth]
+    labels = [_layer_name(i, p, k) for i, p in layers for k in range(len(layer_basis(mu.n, i, p)))]
+    return labels, _generators(mu.n, layers)
 
 
 def verify_redundant(mu: Partition, i: int) -> dict:
@@ -492,10 +497,11 @@ def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
 
 def _query_status(n: int, k: int, q: int, layers) -> str:
     """The status of one highest-weight query, h_k(q) against the
-    representatives of `layers`: the re-checked status of `ideal_contains`
-    once `is_highest_weight` accepts h_k(q), and "unverified" otherwise."""
+    representatives of `layers` (`_generators`): the re-checked status of
+    `ideal_contains` once `is_highest_weight` accepts h_k(q), and
+    "unverified" otherwise."""
     h = highest_weight_vector(n, k, q)
-    _, status = ideal_contains(h, [g for j, size in layers for g in layer_basis(n, j, size)])
+    _, status = ideal_contains(h, _generators(n, layers))
     return status if is_highest_weight(h, k) else "unverified"
 
 
@@ -503,15 +509,23 @@ def verify_minimal(mu: Partition) -> dict:
     """Verify the minimal schedule end to end at desk scale.
 
     Scheduled minor spaces get vanishing-point non-membership certificates
-    at the Jordan matrices of witness orbits; each invariant is asked
-    against the remaining generators by `ideal_contains`, whose verdict is
-    the check's `detail` and whose re-checked status is the check's status
-    ("unverified" when the deciding piece rejects the certificate).  An
-    excluded depth i with a nonzero layer at its size p is certified from
-    highest-weight vectors: the queries of `_excluded_queries` show all of
-    V(i,p), not only its `layer_basis` representatives, in the ideal of the
-    scheduled generators of depth < i.  Each query (`_query_status`) counts
-    once `ideal_contains` has re-checked its combination and
+    at the Jordan matrices of witness orbits.  Each invariant t_p is asked
+    by `ideal_contains` against the representatives (`_generators`) of the
+    scheduled layers (i, q) with q <= p, t_p's own layer (0, p) left out:
+    the question is one of degree p, where a generator of higher degree
+    gives no row, so no layer above p is expanded.  The verdict is the
+    check's `detail`, and its re-checked status is the check's status
+    ("unverified" when the deciding piece rejects the certificate).  A
+    non-member functional is fixed by the span of the piece and its column
+    order, so it is the one the whole schedule would give; the `gen` of a
+    member combination, which no passing report prints, numbers the
+    question's own layer list.
+
+    An excluded depth i with a nonzero layer at its size p is certified
+    from highest-weight vectors: the queries of `_excluded_queries` show
+    all of V(i,p), not only its `layer_basis` representatives, in the ideal
+    of the scheduled generators of depth < i.  Each query (`_query_status`)
+    counts once `ideal_contains` has re-checked its combination and
     `schur.is_highest_weight` accepts its vector; its `detail` keeps
     `zero_space` and `candidates` (the layer dimension, 0 for a zero space)
     and lists the `queries` {layer, p, generators, status}, the generators
@@ -530,10 +544,9 @@ def verify_minimal(mu: Partition) -> dict:
             witness = necessity_witness(mu, i) if i >= 2 else _depth_one_witness(mu)
             checks.append(_point_certificate_check(mu, i, p, witness))
 
-    _, gens = scheduled_generators(mu)
-    # the invariant layers come first, one generator each
-    for k, p in enumerate(p for i, p in layers if not i):
-        verdict, status = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
+    for p in (p for i, p in layers if not i):
+        against = [layer for layer in layers if layer[1] <= p and layer != (0, p)]
+        verdict, status = ideal_contains(layer_basis(n, 0, p)[0], _generators(n, against))
         checks.append(_check("invariant", 0, p, NON_MEMBER, status, verdict))
 
     for i in excluded_depths(mu):

@@ -177,9 +177,12 @@ def test_criterion_5_minimality_at_n6_and_n7():
 
 def test_criterion_5_minimality_at_n8_through_the_cli(capsys):
     # the exact frontier of `verify minimal`: every mu of 8 in one process
-    # takes 31 to 34 s and 410 MB on a 2-core host (CPython 3.11.7); the
-    # tier-1 run takes two quick shapes
-    eights = list(partitions_of(8)) if LARGE else [Partition((4, 4)), Partition((2, 2, 2, 2))]
+    # takes 23 to 26 s and 404 MB on a 2-core host (CPython 3.11.7); the
+    # tier-1 run takes three quick shapes.  (4,3,1) takes 0.2 s and 24 MB
+    # whole-process because no invariant check expands a layer above its
+    # own degree
+    quick = [Partition((4, 4)), Partition((4, 3, 1)), Partition((2, 2, 2, 2))]
+    eights = list(partitions_of(8)) if LARGE else quick
     t0 = time.time()
     for mu in eights:
         code, out = _run_cli(capsys, "verify", "minimal", "--partition", str(mu), "--max-n", "8", "--json")

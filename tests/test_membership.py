@@ -160,6 +160,9 @@ def built_pieces(monkeypatch):
         # t_1 and t_2 on the slice, then the queries h_2, h_1 and h_0 = t_3 of
         # depth 2: only t_3 has rho != 0, and its slice answers None
         ((2, 2, 1), [True, True, False, False, True, False]),
+        # t_1, t_2 and t_3 on the slice; (3,2,1) has no excluded depth, and
+        # its scheduled depth-2 layer at size 4 is asked by no question
+        ((3, 2, 1), [True, True, True]),
     ],
 )
 def test_verify_minimal_asks_each_question_once(built_pieces, mu, diagonals):
@@ -167,6 +170,9 @@ def test_verify_minimal_asks_each_question_once(built_pieces, mu, diagonals):
     # built again to verify it
     assert verify_minimal(Partition(mu))["ok"]
     assert [piece.diagonal for piece in built_pieces] == diagonals
+    # a question of degree d names only generators of degree <= d, so no
+    # generator that could give no row is expanded
+    assert all(g.degree <= piece.degree for piece in built_pieces for g in piece.gens)
 
 
 def _first_combination_zeroed(verdict):
@@ -691,6 +697,13 @@ def test_unreadable_or_altered_certificates_are_rejected():
         {**term, "monomial": [[1, 2, True]]},
         {**term, "coeff": "x"},
         {"monomial": term["monomial"], "coeff": term["coeff"]},
+        # a gen or a coefficient is read only in the form reports print
+        {**term, "gen": False},
+        {**term, "coeff": 1},
+        {**term, "coeff": True},
+        {**term, "coeff": "1.0"},
+        {**term, "coeff": "+1"},
+        {**term, "coeff": "2/2"},
     ]
     for t in broken_terms:
         assert piece.verify(f, {**member, "combination": [t]}) is False, t
@@ -710,6 +723,8 @@ def test_unreadable_or_altered_certificates_are_rejected():
         {**first, "monomial": [[1, 1, 3.0]]},
         {**first, "coeff": "x"},
         {**first, "coeff": "1/0"},
+        {**first, "coeff": float(Fraction(first["coeff"]))},
+        {**first, "coeff": " " + first["coeff"]},
     ]
     for t in broken_firsts:
         assert slice_piece.verify(t3, {**non_member, "functional": [t] + rest}) is False, t
