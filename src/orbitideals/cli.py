@@ -412,7 +412,7 @@ def cmd_membership(args):
 def cmd_verify(args):
     mu = parse_partition(args.partition)
     n = mu.n
-    _check_max_n(n, args, "; raise --max-n to force (vanishing and oracle cost grows quickly)")
+    _check_max_n(n, args, "; raise --max-n to force (minimality cost grows quickly)")
     suite = args.suite
     no_points = {"vanishing": [], "sharpness": []}
     points = verify_vanishing(mu) if suite in ("all", "vanishing") else no_points

@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import TriangularBasis, apply_functional
-from .orbit import jordan_matrix, prefixed_sum_at_jordan
+from .orbit import jordan_matrix, jordan_values
 from .partitions import (
     Partition,
     excluded_depths,
@@ -401,17 +401,18 @@ def _point_certificate_check(mu: Partition, i: int, p: int, witness: Partition) 
     matrix of the witness orbit and some candidate does not.
 
     Each generator is the prefixed sum of a tag (P, Q), so its value there
-    is the signed count `prefixed_sum_at_jordan` and nothing is expanded.
+    is read from `jordan_values`, once per layer, and nothing is expanded.
     The generators are numbered as in `scheduled_generators`: the
     `layer_tags` of every earlier layer, the invariants first."""
     n = mu.n
-    earlier = [(P, Q, q) for j, q in minimal_schedule(mu) if j < i for P, Q in layer_tags(n, j)]
-    bad = [gi for gi, tag in enumerate(earlier) if prefixed_sum_at_jordan(witness, *tag) != 0]
+    layers = [(j, jordan_values(witness, j, q)) for j, q in minimal_schedule(mu) if j < i]
+    bad = [gi for gi, hit in enumerate(tag in nonzero for j, nonzero in layers for tag in layer_tags(n, j)) if hit]
     if bad:
         detail = {"witness": str(witness), "nonvanishing_generators": bad}
         return _check("minor_space", i, p, NON_MEMBER, "mismatch", detail)
-    for idx, (P, Q) in enumerate(layer_tags(n, i)):
-        if prefixed_sum_at_jordan(witness, P, Q, p) != 0:
+    nonzero = jordan_values(witness, i, p)
+    for idx, tag in enumerate(layer_tags(n, i)):
+        if tag in nonzero:
             detail = {"witness": str(witness), "element": idx, "point": jordan_matrix(witness)}
             return _check("minor_space", i, p, NON_MEMBER, NON_MEMBER, detail)
     detail = {"witness": str(witness)}
@@ -423,8 +424,7 @@ def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
 
     Unlike `_point_certificate_check`, this expands the generators and the
     candidate and evaluates the polynomials at the stored `point`, so it
-    rechecks the matrix as stored, independently of the signed count at a
-    Jordan matrix."""
+    rechecks the matrix as stored, independently of `jordan_values`."""
     point = detail["point"]
     _, earlier = scheduled_generators(mu, before_depth=i)
     candidate = layer_basis(mu.n, i, mu.critical_size(i))[detail["element"]]

@@ -1,20 +1,17 @@
 """Minors of the generic matrix and the sums-of-minors generator spaces.
 
-The building blocks for the defining equations of nilpotent orbit closures:
-
 * ``minor(n, rows, cols)`` -- determinant of a square submatrix of the
   generic n x n matrix, expanded along its first row from cached smaller
   minors.
 * ``principal_minor_sum(n, p)`` -- sum of all principal p x p minors; up to
   a global sign this is a coefficient of the characteristic polynomial, and
   it is invariant under conjugation.
-* ``signed_minors(n, P, Q, p)`` -- the terms (R, C, sign) of the prefixed
-  sum over J of (P,J|Q,J), its one spelling: the expansion below, the Jordan
-  count of `orbit` and the sign vectors of `independent_pairs` read them.
 * ``prefix_pairs(n, i)`` -- the sorted length-i prefix pairs, lex in (P, Q).
-* ``prefixed_minor_sum(n, P, Q, p)`` -- that sum expanded, for prefixes P, Q
-  of equal length and a size p in 1..n.  The span of these, over all
-  prefixes of length i, is the degree-p generator space with prefix depth i.
+* ``signed_minors(n, P, Q, p)`` -- the terms (R, C, sign) of the prefixed
+  sum over J of (P,J|Q,J), signed by ``sort_with_sign``; the expansion
+  ``prefixed_minor_sum(n, P, Q, p)`` and `independent_pairs` read them.
+  Over all prefixes of length i, these sums span the degree-p generator
+  space of depth i.  `orbit.jordan_values` signs its terms the same way.
 * ``independent_pairs(n, p, pairs, spanned)`` -- the greedy choice of
   independent prefixed sums, made on their sign vectors over the minors.
 * ``minor_sum_basis(n, i, p)`` -- a maximal independent subfamily in
@@ -84,15 +81,14 @@ def prefix_pairs(n: int, i: int):
     return itertools.product(itertools.combinations(range(1, n + 1), i), repeat=2)
 
 
-def signed_minors(n: int, P: tuple, Q: tuple, size: int, free=None):
+def signed_minors(n: int, P: tuple, Q: tuple, size: int):
     """The terms (rows, cols, sign) of the sum over J of (P, J | Q, J): J runs
-    over the (size - len(P))-subsets of `free` (default 1..n) outside P and
-    Q, and rows, cols are (P, J), (Q, J) sorted, with the product of the two
-    sorting signs.  A prefix with a repeated entry gives no term."""
+    over the (size - len(P))-subsets of 1..n outside P and Q, and rows, cols
+    are (P, J), (Q, J) sorted, with the product of the two sorting signs.
+    A prefix with a repeated entry gives no term."""
     if len(set(P)) < len(P) or len(set(Q)) < len(Q):
         return
-    used = set(P) | set(Q)
-    free = [v for v in (range(1, n + 1) if free is None else free) if v not in used]
+    free = [v for v in range(1, n + 1) if v not in P and v not in Q]
     for J in itertools.combinations(free, size - len(P)):
         rows, rsign = sort_with_sign(P + J)
         cols, csign = sort_with_sign(Q + J)

@@ -13,8 +13,10 @@ The values at J_mu need no polynomial: J_mu has a 1 at (r, r+1) for every r
 that is not the last index of its block, so every square submatrix is a
 partial permutation matrix, and because the successor map r -> r+1 is
 increasing, the minor (R|C) is 1 when it maps R onto C and 0 otherwise.
-So a prefixed sum at J_mu is a signed count of the terms (R, C, sign) that
-`minors.signed_minors` gives for it, the same terms its expansion sums.
+So `jordan_values` walks only those minors, one per subset R of the
+successor map's domain, and gives each to the sums (P,J|Q,J) with J inside
+R and succ(R), P = R - J, Q = succ(R) - J: the one nonzero term of each, as
+J is forced, the indices the successor map passes from P up to Q.
 
 `sample_orbit` gives integer points g J_mu g^-1 away from the Jordan form.
 No verdict rests on them: they are the generic-point reference that the
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .minors import prefix_pairs, signed_minors
+from .minors import sort_with_sign
 from .partitions import Partition, full_schedule
 
 
@@ -135,21 +137,22 @@ def sample_orbit(mu: Partition, seed: int) -> OrbitSample:
     return OrbitSample(tuple(map(tuple, point)), mu, seed)
 
 
-def prefixed_sum_at_jordan(mu: Partition, row_prefix, col_prefix, size: int) -> int:
-    """Value of `prefixed_minor_sum(n, row_prefix, col_prefix, size)` at J_mu:
-    the signed count of the terms of `signed_minors` whose rows the
-    successor map sends onto their columns."""
+def jordan_values(mu: Partition, i: int, p: int) -> dict:
+    """{(P, Q): value, 1 or -1} over the sorted depth-i pairs whose size-p
+    sum `prefixed_minor_sum(n, P, Q, p)` is nonzero at J_mu."""
     succ = _successors(mu)
-    # An index of J is both a row and a column, so it needs a successor and
-    # a predecessor in its block; any other J gives only zero minors.
-    inner = [r for r in succ if r - 1 in succ]
-    terms = signed_minors(mu.n, tuple(row_prefix), tuple(col_prefix), size, inner)
-    return sum(sign for rows, cols, sign in terms if tuple(map(succ.get, rows)) == cols)
+    values = {}
+    for R in itertools.combinations(succ, p):
+        C = tuple(map(succ.get, R))
+        for J in itertools.combinations([r for r in R if r in C], p - i):
+            P, Q = (tuple(v for v in S if v not in J) for S in (R, C))
+            values[P, Q] = sort_with_sign(P + J)[1] * sort_with_sign(Q + J)[1]
+    return values
 
 
 def check_vanishing(mu: Partition, i: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Decide whether the depth-i size-p space vanishes on the orbit closure
-    of mu by evaluating its sorted spanning pairs (P, Q) at J_mu.
+    of mu from the values of its sorted spanning pairs (P, Q) at J_mu.
 
     Returns None when the space vanishes, and otherwise the witness: the
     first pair (P, Q), in `prefix_pairs` order, whose sum is nonzero at
@@ -159,7 +162,7 @@ def check_vanishing(mu: Partition, i: int, p: int) -> tuple[tuple[int, ...], tup
     n = mu.n
     if not (1 <= p <= n and 0 <= i <= min(p, n - p)):
         raise ValueError(f"need a size p in 1..{n} and a depth in 0..min(p, {n} - p)")
-    return next((pair for pair in prefix_pairs(n, i) if prefixed_sum_at_jordan(mu, *pair, p)), None)
+    return min(jordan_values(mu, i, p), default=None)
 
 
 def verify_vanishing(mu: Partition) -> dict:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The large flagged runs (dimension law at n=5, vanishing at n<=10,
+lines.  The large flagged runs (dimension law at n=5, vanishing at n<=15,
 membership --rel1 and redundancy at n=7, verify minimal for every mu of 8)
 are enabled by setting ORBIT_IDEALS_LARGE=1.
 """
@@ -112,7 +112,7 @@ def test_criterion_3_dimension_law():
 
 def test_criterion_4_vanishing():
     t0 = time.time()
-    top = 10 if LARGE else 8
+    top = 15 if LARGE else 12
     for n in range(1, top + 1):
         for mu in partitions_of(n):
             for i, p in full_schedule(mu):

@@ -182,7 +182,6 @@ def test_prefix_pairs_and_signed_minors():
     # (2,J | 1,J) for J in {3}, {4}: sorting (2,3) is even, (1,3) is even
     assert list(signed_minors(4, (2,), (1,), 2)) == [((2, 3), (1, 3), 1), ((2, 4), (1, 4), 1)]
     assert list(signed_minors(4, (3,), (1,), 2)) == [((2, 3), (1, 2), -1), ((3, 4), (1, 4), 1)]
-    assert list(signed_minors(4, (3,), (1,), 2, free=(4,))) == [((3, 4), (1, 4), 1)]
     assert list(signed_minors(4, (1, 1), (2, 3), 3)) == []  # a repeated prefix entry gives no term
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitideals.linalg import TriangularBasis
-from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
+from orbitideals.minors import minor_sum_basis, prefix_pairs, prefixed_minor_sum, principal_minor_sum
 from orbitideals.orbit import (
     check_vanishing,
     jordan_matrix,
+    jordan_values,
     kernel_dimensions,
-    prefixed_sum_at_jordan,
     sample_orbit,
 )
 from orbitideals.partitions import Partition, partitions_of
@@ -166,22 +166,25 @@ def test_jordan_evaluator_matches_expansion():
         points = [(mu, jordan_matrix(mu)) for mu in partitions_of(n)]
         for p in range(1, n + 1):
             for i in range(0, p + 1):
-                subsets = list(itertools.combinations(range(1, n + 1), i))
-                for P in subsets:
-                    for Q in subsets:
-                        f = prefixed_minor_sum(n, P, Q, p)
-                        for mu, j in points:
-                            assert prefixed_sum_at_jordan(mu, P, Q, p) == f.evaluate(j), (mu, P, Q, p)
+                pairs = list(prefix_pairs(n, i))
+                for mu, j in points:
+                    values = jordan_values(mu, i, p)
+                    assert set(values) <= set(pairs), (mu, i, p)
+                    for P, Q in pairs:
+                        want = prefixed_minor_sum(n, P, Q, p).evaluate(j)
+                        assert values.get((P, Q), 0) == want, (mu, P, Q, p)
+                        assert ((P, Q) in values) == (want != 0), (mu, P, Q, p)
 
 
-def test_jordan_evaluator_permuted_and_repeated_prefixes():
-    mu = Partition((3, 2))
-    j = jordan_matrix(mu)
-    for P, Q in [((2, 1), (3, 2)), ((1, 4), (2, 5)), ((4, 1), (2, 5)), ((1, 1), (2, 3)), ((1, 2), (3, 3))]:
-        for p in range(2, 6):
-            assert prefixed_sum_at_jordan(mu, P, Q, p) == prefixed_minor_sum(5, P, Q, p).evaluate(j)
-            if len(set(P)) < 2 or len(set(Q)) < 2:  # a repeated prefix entry: zero both ways
-                assert prefixed_minor_sum(5, P, Q, p).is_zero() and prefixed_sum_at_jordan(mu, P, Q, p) == 0
+def test_check_vanishing_witness_is_the_first_nonzero_pair():
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            j = jordan_matrix(mu)
+            for p in range(1, n + 1):
+                for i in range(0, min(p, n - p) + 1):
+                    pairs = prefix_pairs(n, i)
+                    first = next((pair for pair in pairs if prefixed_minor_sum(n, *pair, p).evaluate(j)), None)
+                    assert check_vanishing(mu, i, p) == first, (mu, i, p)
 
 
 def test_sharpness_witnesses_reevaluate():
