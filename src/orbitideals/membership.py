@@ -1,19 +1,20 @@
 """Graded ideal membership with exact certificates, and the end-to-end
 minimality / redundancy verification for generator schedules.
 
-Membership of a homogeneous f in a homogeneous ideal is decided entirely in
-degree deg(f): the rows of the graded piece are all products g * m of a
-generator with a monomial of complementary degree, and f is a member iff
-its coefficient vector lies in their row span.
+Every generator and every candidate is a prefixed minor sum, known by its
+tag (P, Q, p): the sum over J of (P,J|Q,J) at size p (`minors.tag_sum`).
+Membership of the sum f in the ideal is decided entirely in degree p: the
+rows of the graded piece are all products g * m of a generator with a
+monomial of complementary degree, and f is a member iff its coefficient
+vector lies in their row span.
 
 The diagonal torus scales x_rc by s_r / s_c, so a monomial has weight
-sum e * (e_r - e_c) over its x_rc^e, and every prefixed minor sum
-(P,J|Q,J) has the single weight e_P - e_Q.  Every generator must be a
-weight vector, so the piece splits exactly into weight blocks, the rows
-g * m with wt(g) + wt(m) = w, and f is a member iff each of its weight
-components lies in its own block.  Blocks are enumerated directly and
-eliminated over Q on first use, so a query touches only the blocks its
-candidate meets.
+sum e * (e_r - e_c) over its x_rc^e, and the sum of a tag has the single
+weight e_P - e_Q (`minors.tag_weight`), read from the tag.  So the piece
+splits exactly into weight blocks, the rows g * m with wt(g) + wt(m) = w,
+and f is a member iff it lies in the block of its own weight.  Blocks are
+enumerated directly and eliminated over Q on first use, so a query
+touches only the block its candidate meets.
 
 Verdicts carry re-verifiable certificates: an exact coefficient combination
 for members, and for non-members either a linear functional vanishing on
@@ -31,6 +32,8 @@ the diagonal, so its value at any h is its value at rho(h), and since
 rho(g * m) = rho(g) * rho(m), with rho(m) a diagonal monomial or 0, it
 vanishes on the whole graded piece: it is an ordinary functional
 certificate.  The converse fails, so the slice never answers `member`.
+rho of a tag has a closed form, [P = Q] x_P e_(p-|P|)(x_rr, r not in P)
+(`minors.tag_restriction`), so the slice expands no polynomial.
 
 `ideal_contains` is the one certified membership question: it asks the
 slice, then the weight blocks, and re-checks the verdict with `verify` on
@@ -44,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import TriangularBasis, apply_functional
+from .minors import tag_restriction, tag_sum, tag_weight
 from .orbit import jordan_matrix, jordan_values
 from .partitions import (
     Partition,
@@ -62,47 +66,39 @@ from .polyring import (
     pack,
     unpack,
 )
-from .schur import highest_weight_vector, is_highest_weight, layer_basis, layer_dimension, layer_tags
+from .schur import highest_weight_tag, is_highest_weight, layer_basis, layer_dimension, layer_generators, layer_tags
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
-
-
-def _torus_weight(g: Polynomial) -> tuple:
-    """The common torus weight of g's terms; ValueError if they differ."""
-    weights = {mon_weight(g.n, mon) for mon in g.terms}
-    if len(weights) != 1:
-        raise ValueError("generator is not a torus-weight vector")
-    return weights.pop()
 
 
 def _is_diagonal(mon) -> bool:
     return all(r == c for (r, c), _ in mon)
 
 
-def _restrict(g: Polynomial) -> Polynomial:
-    """rho(g): the terms of g whose monomials use only the x_rr."""
-    return Polynomial(g.n, {mon: c for mon, c in g.terms.items() if _is_diagonal(mon)})
-
-
 class GradedPiece:
-    """The degree-d slice of the ideal generated by homogeneous torus-weight
-    vectors, split into torus-weight blocks that are built and eliminated
-    on first use.  The generators are fixed when the piece is built, so
-    each block is eliminated once, and then serves every membership query
-    in its weight.  A generator of degree at most d that is not a weight
-    vector raises ValueError, on the slice too; one of higher degree gives
-    no row and is not read.
+    """The degree-d slice of the ideal generated by prefixed minor sums,
+    each known by its tag (P, Q, p) (`minors.tag_weight`), split into
+    torus-weight blocks that are built and eliminated on first use.  The
+    generators are fixed when the piece is built, so each block is
+    eliminated once, and then serves every membership query in its weight.
+    A malformed tag raises ValueError, as a generator or as a candidate, on
+    the slice too; a generator of size above d gives no row.
 
-    The rows g * m of weight w (those with wt(g) + wt(m) = w) span exactly
-    the weight-w part of the piece, so a candidate is a member iff each of
-    its weight components lies in its own block.
+    A tag's weight is e_P - e_Q, read from the tag.  The rows g * m of
+    weight w (those with wt(g) + wt(m) = w) span exactly the weight-w part
+    of the piece, and a candidate tag, one weight vector, is a member iff
+    it lies in the block of its weight.  Only the rows and the candidate of
+    that block, and a member's re-check, expand a tag (`minors.tag_sum`,
+    once per process).
 
     With `diagonal=True` the piece is the diagonal slice: its rows are
     rho(g) * m for diagonal monomials m, all in the weight-0 block, and a
-    candidate is replaced by rho(f).  The slice proves non-membership only
-    (see the module docstring), so it tracks no provenance and `contains`
-    gives None where the full piece might say `member`.
+    candidate is replaced by rho(f).  Each rho comes from its closed form
+    (`minors.tag_restriction`), zero unless P = Q, so the slice expands no
+    tag.  The slice proves non-membership only (see the module docstring),
+    so it tracks no provenance and `contains` gives None where the full
+    piece might say `member`.
 
     Rows are eliminated on int columns, the exponent digits
     `pack(n, mon, d)` of their monomials.  The column of t * m is that of t
@@ -118,17 +114,13 @@ class GradedPiece:
         self.n = n
         self.degree = degree
         self.gens = tuple(gens)
-        if any(g.n != n for g in self.gens):
-            raise ValueError("generator over wrong matrix size")
         self.diagonal = diagonal
         # (gen index, row generator, torus weight, packed columns)
         self._row_gens: list[tuple] = []
-        for gi, g in enumerate(self.gens):
-            if g.is_zero() or g.degree > degree:
-                continue
-            w = _torus_weight(g)
-            # every diagonal monomial has weight 0, so rho(g) = 0 unless w = 0
-            if diagonal and (any(w) or (g := _restrict(g)).is_zero()):
+        for gi, tag in enumerate(self.gens):
+            w = tag_weight(n, tag)
+            # rho(g) is made of diagonal monomials, of weight 0, so it is zero unless w = 0
+            if tag[2] > degree or (diagonal and any(w)) or (g := self._expand(tag)).is_zero():
                 continue
             self._row_gens.append((gi, g, w, {pack(n, t, degree): c for t, c in g.terms.items()}))
         # weight -> exact row-reduced basis of its rows, with provenance
@@ -138,6 +130,10 @@ class GradedPiece:
         self.rows: list[tuple] = []  # (gen index, multiplier) of every row
         self.nonzeros = 0
         self._multipliers: dict[tuple, list] = {}  # (degree, weight) -> [(monomial, offset)]
+
+    def _expand(self, tag) -> Polynomial:
+        """The sum of a tag, or its rho on the slice."""
+        return (tag_restriction if self.diagonal else tag_sum)(self.n, tag)
 
     def _block_multipliers(self, w: tuple):
         """(gen index, row generator, its columns, [(multiplier, column
@@ -167,34 +163,24 @@ class GradedPiece:
                 self.nonzeros += len(packed) * len(mons)
         return basis
 
-    def contains(self, f: Polynomial) -> dict | None:
-        """The verdict on f, or None from a slice where rho(f) is a member.
-        A verdict is the dict a report prints: `status`, then a member's
-        `combination` [{gen, monomial, coeff}] or a non-member's `functional`
-        [{monomial, coeff}], and `slice: "diagonal"` for one found there."""
-        if f.n != self.n:
-            raise ValueError("candidate over wrong matrix size")
-        if not f.is_zero() and f.degree != self.degree:
-            raise ValueError(f"candidate degree {f.degree} != piece degree {self.degree}")
-        if self.diagonal:
-            f = _restrict(f)
-        if f.is_zero():
-            return None if self.diagonal else {"status": MEMBER, "combination": []}
-        components: dict[tuple, dict] = {}
-        for mon, c in f.terms.items():
-            components.setdefault(mon_weight(self.n, mon), {})[pack(self.n, mon, self.degree)] = c
-        combination = []
-        free: dict = {}  # residual column -> the basis of its block
-        for w, terms in components.items():
-            basis = self._block(w)
-            residual, combo = basis.reduce(terms)
-            if residual:
-                free.update(dict.fromkeys(residual, basis))
-            elif basis.track:
-                combination.extend((gi, mon, c) for (gi, mon), c in basis.provenance_of(combo).items())
-        if free:
-            lead = min(free)
-            lam = free[lead].annihilator(lead)
+    def contains(self, f) -> dict | None:
+        """The verdict on the candidate tag f, or None from a slice where
+        rho(f) is zero or a member.  A verdict is the dict a report prints:
+        `status`, then a member's `combination` [{gen, monomial, coeff}] or
+        a non-member's `functional` [{monomial, coeff}], and
+        `slice: "diagonal"` for one found there."""
+        w = tag_weight(self.n, f)
+        if f[2] != self.degree:
+            raise ValueError(f"candidate degree {f[2]} != piece degree {self.degree}")
+        if self.diagonal and any(w):
+            return None
+        terms = self._expand(f).terms
+        if not terms:
+            return {"status": MEMBER, "combination": []}
+        basis = self._block(w)
+        residual, combo = basis.reduce({pack(self.n, mon, self.degree): c for mon, c in terms.items()})
+        if residual:
+            lam = basis.annihilator(min(residual))
             functional = []
             for k, c in sorted(lam.items(), reverse=True):
                 functional.append({"monomial": mon_to_record(unpack(self.n, k, self.degree)), "coeff": str(c)})
@@ -204,25 +190,28 @@ class GradedPiece:
             return verdict
         if self.diagonal:
             return None
-        combination.sort(key=lambda t: (t[0], pack(self.n, t[1], self.degree)))
-        combination = [{"gen": gi, "monomial": mon_to_record(m), "coeff": str(c)} for gi, m, c in combination]
+        prov = sorted(basis.provenance_of(combo).items(), key=lambda t: (t[0][0], pack(self.n, t[0][1], self.degree)))
+        combination = [{"gen": gi, "monomial": mon_to_record(m), "coeff": str(c)} for (gi, m), c in prov]
         return {"status": MEMBER, "combination": combination}
 
-    def verify(self, f: Polynomial, verdict: dict) -> bool:
-        """Re-check a verdict of `contains`, or its `json.loads`, by
-        independent exact arithmetic.  Only `member` and `non_member` carry a
-        certificate, and one that cannot be read fails: a missing key, a `gen`
-        that is not an int of range(len(gens)), a monomial not in the form
-        reports print (`mon_from_record`), a coefficient that is not the
-        string `str(Fraction(s))` gives for itself, a functional that names
-        one monomial twice.
+    def verify(self, f, verdict: dict) -> bool:
+        """Re-check a verdict of `contains` on the candidate tag f, or its
+        `json.loads`, by independent exact arithmetic.  Only `member` and
+        `non_member` carry a certificate, and one that cannot be read
+        fails: a missing key, a `gen` that is not an int of
+        range(len(gens)), a monomial not in the form reports print
+        (`mon_from_record`), a coefficient that is not the string
+        `str(Fraction(s))` gives for itself, a functional that names one
+        monomial twice.
 
-        A functional is checked against every row of each block its support
-        meets, rebuilt by `Polynomial.times_monomial` and not from the packed
-        columns, so a packing fault cannot certify itself; rows of other
-        blocks share no monomial with it.  On the slice, the functional must
-        be supported on diagonal monomials and is checked against the slice
-        rows, which suffices by the restriction argument of the module
+        A member's combination is recombined from the expanded generators
+        and compared with the expanded candidate.  A functional is checked
+        against every row of each block its support meets, rebuilt by
+        `Polynomial.times_monomial` and not from the packed columns, so a
+        packing fault cannot certify itself; rows of other blocks share no
+        monomial with it.  On the slice, the functional must be supported
+        on diagonal monomials and is checked against the slice rows and
+        rho(f), which suffices by the restriction argument of the module
         docstring."""
         monomial = lambda t: mon_from_record(self.n, t["monomial"])
         try:
@@ -235,9 +224,9 @@ class GradedPiece:
                     if type(t["gen"]) is not int or t["gen"] not in range(len(self.gens)):
                         return False
                     coeff, mon = Fraction(t["coeff"]), monomial(t)
-                    for m2, c2 in self.gens[t["gen"]].times_monomial(mon).terms.items():
+                    for m2, c2 in tag_sum(self.n, self.gens[t["gen"]]).times_monomial(mon).terms.items():
                         acc[m2] = acc.get(m2, 0) + coeff * c2
-                return {m: c for m, c in acc.items() if c} == f.terms
+                return {m: c for m, c in acc.items() if c} == tag_sum(self.n, f).terms
             lam = {monomial(t): Fraction(t["coeff"]) for t in terms}
             if len(lam) != len(terms):
                 return False
@@ -245,7 +234,7 @@ class GradedPiece:
             return False
         if self.diagonal and not all(map(_is_diagonal, lam)):
             return False
-        if apply_functional(lam, f.terms) == 0:
+        if apply_functional(lam, self._expand(f).terms) == 0:
             return False
         return all(
             apply_functional(lam, g.times_monomial(m).terms) == 0
@@ -255,25 +244,25 @@ class GradedPiece:
         )
 
 
-def ideal_contains(f: Polynomial, gens) -> tuple[dict, str]:
-    """Decide whether f lies in the ideal generated by `gens`, each a
-    torus-weight vector (ValueError otherwise; `GradedPiece`), and re-check
-    the answer.
+def ideal_contains(n: int, f, gens) -> tuple[dict, str]:
+    """Decide whether the sum of the tag f lies in the ideal generated by
+    the sums of the tags `gens`, at matrix size n, and re-check the answer
+    (a malformed tag raises ValueError; `GradedPiece`).
 
     Returns (verdict, status): the verdict of the first piece that decides,
     and its status once that same piece's `GradedPiece.verify` accepts its
     certificate, "unverified" otherwise.  The diagonal slice is asked first
-    when rho(f) != 0: it is far smaller than the weight blocks, and its
-    non-member functional certifies the full ring.  When rho(f) is zero or
-    lies in the restricted ideal, the slice proves nothing, and the weight
-    blocks decide."""
+    when rho(f) != 0, that is when P = Q: it is far smaller than the weight
+    blocks, and its non-member functional certifies the full ring.  When
+    rho(f) lies in the restricted ideal, or P != Q, the slice proves
+    nothing, and the weight blocks decide."""
     gens = tuple(gens)
     verdict = None
-    if any(map(_is_diagonal, f.terms)):  # rho(f) != 0
-        piece = GradedPiece(f.n, gens, f.degree, diagonal=True)
+    if f[0] == f[1]:  # rho(f) != 0
+        piece = GradedPiece(n, gens, f[2], diagonal=True)
         verdict = piece.contains(f)
     if verdict is None:
-        piece = GradedPiece(f.n, gens, f.degree)
+        piece = GradedPiece(n, gens, f[2])
         verdict = piece.contains(f)
     return verdict, verdict["status"] if piece.verify(f, verdict) else "unverified"
 
@@ -289,23 +278,23 @@ def _layer_name(i: int, p: int, k: int | None = None) -> str:
     return f"U_({i},{p})" if k is None else f"U_({i},{p})[{k}]"
 
 
-def _generators(n: int, layers) -> list[Polynomial]:
-    """The `layer_basis` representatives of each layer (i, p) of `layers`,
-    in order: the generators a minimality question asks against, numbered
-    as a verdict's `gen` numbers them."""
-    return [g for i, p in layers for g in layer_basis(n, i, p)]
+def _generators(n: int, layers) -> list[tuple]:
+    """The tags (`layer_generators`) of the representatives of each layer
+    (i, p) of `layers`, in order: the generators a minimality question asks
+    against, numbered as a verdict's `gen` numbers them."""
+    return [tag for i, p in layers for tag in layer_generators(n, i, p)]
 
 
 def scheduled_generators(mu: Partition, before_depth: int | None = None):
-    """The minimal-schedule generator polynomials, with labels.
+    """The minimal-schedule generator tags, with labels.
 
-    Returns (labels, polynomials): the representatives (`_generators`) of
+    Returns (labels, tags): the representatives (`_generators`) of
     every layer (i, p) of `minimal_schedule(mu)` with i < before_depth (all
     when None), in schedule order.  `verify_redundant` and
     `verify_minor_space_certificate` read it; `verify_minimal` does not,
     since each of its questions names its own layers."""
     layers = [(i, p) for i, p in minimal_schedule(mu) if before_depth is None or i < before_depth]
-    labels = [_layer_name(i, p, k) for i, p in layers for k in range(len(layer_basis(mu.n, i, p)))]
+    labels = [_layer_name(i, p, k) for i, p in layers for k in range(len(layer_generators(mu.n, i, p)))]
     return labels, _generators(mu.n, layers)
 
 
@@ -332,7 +321,7 @@ def verify_redundant(mu: Partition, i: int) -> dict:
     if not zero_space:
         labels, gens = scheduled_generators(mu, before_depth=i)
         piece = GradedPiece(n, gens, p)
-        verdicts = [piece.contains(c) for c in layer_basis(n, i, p)]
+        verdicts = [piece.contains(c) for c in layer_generators(n, i, p)]
     return {
         "partition": str(mu),
         "i": i,
@@ -428,7 +417,7 @@ def verify_minor_space_certificate(mu: Partition, i: int, detail: dict) -> bool:
     point = detail["point"]
     _, earlier = scheduled_generators(mu, before_depth=i)
     candidate = layer_basis(mu.n, i, mu.critical_size(i))[detail["element"]]
-    if any(g.evaluate(point) != 0 for g in earlier):
+    if any(tag_sum(mu.n, g).evaluate(point) != 0 for g in earlier):
         return False
     return candidate.evaluate(point) != 0
 
@@ -443,7 +432,7 @@ def _step_layers(n: int, k: int, q: int) -> tuple:
 def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
     """The highest-weight queries (k, q, layers) that certify V(i,p), p the
     critical size of the excluded depth i, in the ideal I of the scheduled
-    generators of depth < i: h_k at size q (`schur.highest_weight_vector`)
+    generators of depth < i: h_k at size q (`schur.highest_weight_tag`)
     is to lie in the ideal of the representatives of `layers`, each a
     generator layer (j, size).
 
@@ -498,11 +487,11 @@ def _excluded_queries(mu: Partition, i: int) -> list[tuple]:
 def _query_status(n: int, k: int, q: int, layers) -> str:
     """The status of one highest-weight query, h_k(q) against the
     representatives of `layers` (`_generators`): the re-checked status of
-    `ideal_contains` once `is_highest_weight` accepts h_k(q), and
-    "unverified" otherwise."""
-    h = highest_weight_vector(n, k, q)
-    _, status = ideal_contains(h, _generators(n, layers))
-    return status if is_highest_weight(h, k) else "unverified"
+    `ideal_contains` once `is_highest_weight` accepts the expansion of
+    h_k(q), and "unverified" otherwise."""
+    h = highest_weight_tag(n, k, q)
+    _, status = ideal_contains(n, h, _generators(n, layers))
+    return status if is_highest_weight(tag_sum(n, h), k) else "unverified"
 
 
 def verify_minimal(mu: Partition) -> dict:
@@ -513,7 +502,9 @@ def verify_minimal(mu: Partition) -> dict:
     by `ideal_contains` against the representatives (`_generators`) of the
     scheduled layers (i, q) with q <= p, t_p's own layer (0, p) left out:
     the question is one of degree p, where a generator of higher degree
-    gives no row, so no layer above p is expanded.  The verdict is the
+    gives no row, and t_p is the tag ((), (), p), whose slice is built from
+    closed forms, so a question the slice decides expands no layer.  The
+    verdict is the
     check's `detail`, and its re-checked status is the check's status
     ("unverified" when the deciding piece rejects the certificate).  A
     non-member functional is fixed by the span of the piece and its column
@@ -546,7 +537,7 @@ def verify_minimal(mu: Partition) -> dict:
 
     for p in (p for i, p in layers if not i):
         against = [layer for layer in layers if layer[1] <= p and layer != (0, p)]
-        verdict, status = ideal_contains(layer_basis(n, 0, p)[0], _generators(n, against))
+        verdict, status = ideal_contains(n, ((), (), p), _generators(n, against))
         checks.append(_check("invariant", 0, p, NON_MEMBER, status, verdict))
 
     for i in excluded_depths(mu):

@@ -12,6 +12,11 @@
   ``prefixed_minor_sum(n, P, Q, p)`` and `independent_pairs` read them.
   Over all prefixes of length i, these sums span the degree-p generator
   space of depth i.  `orbit.jordan_values` signs its terms the same way.
+* ``tag_weight(n, tag)``, ``tag_sum(n, tag)`` and ``tag_restriction(n, tag)``
+  -- what a generator known by its tag (P, Q, p), the prefixed sum over J
+  of (P,J|Q,J) at size p, needs: its torus weight e_P - e_Q, read with no
+  expansion and refusing a malformed tag; its expansion, made once per
+  process; and its diagonal restriction, from a closed form.
 * ``independent_pairs(n, p, pairs, spanned)`` -- the greedy choice of
   independent prefixed sums, made on their sign vectors over the minors.
 * ``minor_sum_basis(n, i, p)`` -- a maximal independent subfamily in
@@ -119,6 +124,39 @@ def prefixed_minor_sum(n: int, row_prefix, col_prefix, size: int) -> Polynomial:
         for mon, c in minor(n, rows, cols).terms.items():
             terms[mon] = terms.get(mon, 0) + sign * c
     return Polynomial(n, terms)  # drops the cancelled terms
+
+
+def tag_weight(n: int, tag) -> tuple[int, ...]:
+    """The torus weight e_P - e_Q of the sum of a tag (P, Q, p), the weight
+    `polyring.mon_weight` gives each of its terms: every minor (P,J|Q,J)
+    uses the rows P+J and the columns Q+J once each, and J cancels.
+    ValueError unless P and Q are strictly increasing tuples of one length
+    with entries in 1..n, and p lies in max(|P|, 1)..n."""
+    P, Q, p = tag
+    entries = set(range(1, n + 1))
+    if len(P) != len(Q) or not max(len(P), 1) <= p <= n or any(list(S) != sorted(set(S) & entries) for S in (P, Q)):
+        raise ValueError(f"malformed tag {tag!r} for n = {n}")
+    return tuple((r in P) - (r in Q) for r in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def tag_sum(n: int, tag) -> Polynomial:
+    """`prefixed_minor_sum` of a tag (P, Q, p), expanded once per process."""
+    return prefixed_minor_sum(n, *tag)
+
+
+def tag_restriction(n: int, tag) -> Polynomial:
+    """rho of the sum of a tag (P, Q, p), the sum of its terms in the x_rr
+    alone: [P = Q] x_P e_(p-|P|)(x_rr, r not in P), with no expansion.  A
+    minor (R|C) has a monomial in the x_rr only when R = C, and then just
+    the one of the identity, with coefficient +1; J avoids P and Q, so
+    P+J and Q+J are one set only when P = Q, and both sorting signs agree."""
+    P, Q, p = tag
+    if P != Q:
+        return Polynomial.zero(n)
+    rest = [r for r in range(1, n + 1) if r not in P]
+    diagonal = lambda J: tuple(((r, r), 1) for r in sorted(P + J))
+    return Polynomial(n, {diagonal(J): 1 for J in itertools.combinations(rest, p - len(P))})
 
 
 def independent_pairs(n: int, size: int, pairs, spanned=()) -> tuple:

@@ -31,7 +31,7 @@ size p is the invariant t_p, so a generator list is a walk over layers.
 
 The depth-k layer is the irreducible module of highest weight
 e_1 + .. + e_k - e_{n-k+1} - .. - e_n, and the prefixed sum of
-((1..k), (n-k+1..n)) is its highest-weight vector (`highest_weight_vector`,
+((1..k), (n-k+1..n)) is its highest-weight vector (`highest_weight_tag`,
 checked by `is_highest_weight`).  A GL_n-stable ideal holds the layer
 exactly when it holds that one vector.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .minors import independent_pairs, prefix_pairs, prefixed_minor_sum
+from .minors import independent_pairs, prefix_pairs, tag_sum
 from .polyring import Polynomial, mon_weight, raising_derivation
 
 
@@ -78,45 +78,50 @@ def layer_tags(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     return independent_pairs(n, i, prefix_pairs(n, i), prefix_pairs(n, i - 1) if i else ())
 
 
-@lru_cache(maxsize=None)
+def layer_generators(n: int, i: int, p: int) -> tuple:
+    """The tags (P, Q, p) of the depth-i layer representatives at size p:
+    the pairs `layer_tags(n, i)`, or none out of the nonzero range
+    (i < 0 or i > min(p, n-p)), where the layer is zero.  A generator list
+    is a walk over these, and `minors.tag_sum` expands a tag."""
+    if not (1 <= p <= n):
+        raise ValueError(f"minor size must lie in 1..{n}")
+    if not (0 <= i <= min(p, n - p)):
+        return ()
+    tags = layer_tags(n, i)
+    if len(tags) != layer_dimension(n, i):
+        raise RuntimeError(f"layer ({i},{p}) at n={n}: rank step {len(tags)} != {layer_dimension(n, i)}")
+    return tuple((P, Q, p) for P, Q in tags)
+
+
 def layer_basis(n: int, i: int, p: int) -> tuple[Polynomial, ...]:
     """Representatives of the depth-i layer inside the depth-i span.
 
-    The prefixed sums of size p of the pairs `layer_tags(n, i)`: they extend
-    any basis of the depth-(i-1) span to one of the depth-i span, and there
-    are layer_dimension(n, i) of them.  They are the members the expanded
+    The prefixed sums of size p of the pairs `layer_tags(n, i)`, each
+    expanded once per process (`minors.tag_sum`): they extend any basis of
+    the depth-(i-1) span to one of the depth-i span, and there are
+    layer_dimension(n, i) of them.  They are the members the expanded
     greedy choice keeps, because the size-p families are isomorphic images
     of the size-i ones (module docstring); this rests on
     dim V(i,p) = C(n,i)^2, which `family_rank` and the tests cross-check.
     These representatives generate the same ideal contribution as the
     canonical layer, which is all the generator constructions need.  At
     depth 0 the one member is the invariant t_p.  Out of the nonzero range
-    (i < 0 or i > min(p, n-p)) the layer is zero and the result is empty.
+    the layer is zero and the result is empty.
     """
-    if not (1 <= p <= n):
-        raise ValueError(f"minor size must lie in 1..{n}")
-    if not (0 <= i <= min(p, n - p)):
-        return ()
-    kept = tuple(prefixed_minor_sum(n, P, Q, p) for P, Q in layer_tags(n, i))
-    expected = layer_dimension(n, i)
-    if len(kept) != expected:
-        raise RuntimeError(
-            f"layer ({i},{p}) at n={n}: rank step {len(kept)} != {expected}"
-        )
-    return kept
+    return tuple(tag_sum(n, tag) for tag in layer_generators(n, i, p))
 
 
-def highest_weight_vector(n: int, k: int, p: int) -> Polynomial:
-    """h_k at size p: the prefixed sum of ((1..k), (n-k+1..n)), a vector of
-    the depth-k layer of weight e_1 + .. + e_k - e_{n-k+1} - .. - e_n;
-    h_0 is t_p."""
-    return prefixed_minor_sum(n, tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1)), p)
+def highest_weight_tag(n: int, k: int, p: int) -> tuple:
+    """The tag of h_k at size p, ((1..k), (n-k+1..n), p): its sum is a
+    vector of the depth-k layer of weight e_1 + .. + e_k - e_{n-k+1} - ..
+    - e_n; h_0 is t_p."""
+    return tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1)), p
 
 
 def is_highest_weight(f: Polynomial, k: int) -> bool:
-    """Whether f is a nonzero vector of weight lambda_k, the weight of
-    `highest_weight_vector(f.n, k, p)`, that the simple raising derivations
-    E_{a,a+1} (`polyring.raising_derivation`) all kill.
+    """Whether f is a nonzero vector of weight lambda_k, the weight of the
+    sum of `highest_weight_tag(f.n, k, p)`, that the simple raising
+    derivations E_{a,a+1} (`polyring.raising_derivation`) all kill.
 
     Such an f in V(k,p) generates its depth-k layer.  Under GL_n it spans
     an irreducible module of highest weight lambda_k = (1^k, 0, (-1)^k),

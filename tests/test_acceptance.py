@@ -20,7 +20,7 @@ from orbitideals.membership import (
     verify_minor_space_certificate,
     verify_redundant,
 )
-from orbitideals.minors import family_rank, minor_sum_basis
+from orbitideals.minors import family_rank
 from orbitideals.partitions import (
     Partition,
     excluded_depths,
@@ -31,7 +31,7 @@ from orbitideals.partitions import (
     partitions_of,
 )
 from orbitideals.orbit import check_vanishing
-from test_membership import assert_printed_members_reverify
+from test_membership import assert_printed_members_reverify, basis_tags
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
@@ -177,10 +177,10 @@ def test_criterion_5_minimality_at_n6_and_n7():
 
 def test_criterion_5_minimality_at_n8_through_the_cli(capsys):
     # the exact frontier of `verify minimal`: every mu of 8 in one process
-    # takes 23 to 26 s and 404 MB on a 2-core host (CPython 3.11.7); the
-    # tier-1 run takes three quick shapes.  (4,3,1) takes 0.2 s and 24 MB
-    # whole-process because no invariant check expands a layer above its
-    # own degree
+    # takes about 18 s on a 2-core host (CPython 3.11.7); the tier-1 run
+    # takes three quick shapes.  (4,3,1) takes 0.15 s and 17 MB
+    # whole-process because the diagonal slice of each invariant check is
+    # built from generator tags and expands no layer
     quick = [Partition((4, 4)), Partition((4, 3, 1)), Partition((2, 2, 2, 2))]
     eights = list(partitions_of(8)) if LARGE else quick
     t0 = time.time()
@@ -219,8 +219,8 @@ def test_criterion_6_redundancy():
 def test_criterion_7_size_monotonicity():
     t0 = time.time()
     # the explicit n=3 case
-    piece = GradedPiece(3, minor_sum_basis(3, 1, 2), 3)
-    for cand in minor_sum_basis(3, 1, 3):
+    piece = GradedPiece(3, basis_tags(3, 1, 2), 3)
+    for cand in basis_tags(3, 1, 3):
         verdict = piece.contains(cand)
         assert verdict["status"] == MEMBER
         assert piece.verify(cand, verdict)
@@ -228,8 +228,8 @@ def test_criterion_7_size_monotonicity():
     for n in (2, 3, 4):
         for p in range(1, n):
             for i in range(1, p + 1):
-                piece = GradedPiece(n, minor_sum_basis(n, i, p), p + 1)
-                for cand in minor_sum_basis(n, i, p + 1):
+                piece = GradedPiece(n, basis_tags(n, i, p), p + 1)
+                for cand in basis_tags(n, i, p + 1):
                     verdict = piece.contains(cand)
                     assert verdict["status"] == MEMBER, (n, i, p)
                     assert piece.verify(cand, verdict)

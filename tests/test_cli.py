@@ -19,7 +19,7 @@ from orbitideals.partitions import (
     partitions_of,
 )
 from orbitideals.polyring import Polynomial, monomials_of_degree
-from orbitideals.schur import highest_weight_vector, layer_basis, layer_dimension
+from orbitideals.schur import highest_weight_tag, layer_basis, layer_dimension, layer_generators
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 
@@ -337,7 +337,7 @@ def test_membership_rel1_matches_a_fresh_piece_per_step(capsys, n):
     # the oracle builds <V(i,p)> afresh for every (i, p) and asks for every
     # layer representative of V(i,p+1)
     def span(i, q):
-        return [g for j in range(i + 1) for g in layer_basis(n, j, q)]
+        return [tag for j in range(i + 1) for tag in layer_generators(n, j, q)]
 
     results = []
     for p in range(1, n):
@@ -361,7 +361,7 @@ def test_membership_rel1_rests_on_its_certificates(capsys, monkeypatch, times, f
     # V(2,2), so pair (2,2) holds unless that verdict is forged too; the
     # slice, asked first since rho(t_3) != 0, answers None and is passed over
     n, p = 4, 2
-    t = highest_weight_vector(n, 0, p + 1)
+    t = highest_weight_tag(n, 0, p + 1)
     honest = membership.GradedPiece.contains
     forged = []
 
@@ -504,6 +504,18 @@ def test_verify_refusal(capsys):
     code, _, err = run(capsys, "verify", "--partition", "3,2,1", "--max-n", "5")
     assert code == 3
     assert "refusing" in err
+
+
+def test_max_n_refuses_only_the_suites_that_run_minimality(capsys):
+    # vanishing expands nothing, so n = 15 runs under the default --max-n
+    code, out, _ = run(capsys, "verify", "vanishing", "--partition", "4,2^3,1^5", "--json")
+    assert code == 0
+    report = validate_report(out)
+    assert (report["ok"], report["n"], report["config"]["max_n"]) == (True, 15, 5)
+    for argv in (["verify"], ["verify", "minimal"]):
+        code, out, err = run(capsys, *argv, "--partition", "3,2,1")
+        assert (code, out) == (3, ""), argv
+        assert "refusing: n = 6 exceeds --max-n = 5" in err
 
 
 def test_verify_byte_identical(capsys):

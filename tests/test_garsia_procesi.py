@@ -27,6 +27,7 @@ from math import factorial, prod
 
 from orbitideals.linalg import TriangularBasis
 from orbitideals.membership import scheduled_generators
+from orbitideals.minors import prefixed_minor_sum
 from orbitideals.partitions import Partition, partitions_of
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
@@ -104,9 +105,15 @@ def test_recursion_conventions():
             assert sum(garsia_procesi(lam)) == factorial(n) // prod(factorial(x) for x in lam)
 
 
+def expanded_generators(mu: Partition):
+    """The labels and the expanded sums of the scheduled generator tags."""
+    labels, tags = scheduled_generators(mu)
+    return labels, [prefixed_minor_sum(mu.n, *tag) for tag in tags]
+
+
 def check_partition(mu: Partition, capped: bool = False):
     n = mu.n
-    _, gens = scheduled_generators(mu)
+    _, gens = expanded_generators(mu)
     rho = restricted(n, gens)
     want = garsia_procesi(conjugate(mu))
     top = len(want)  # the first degree where the quotient is zero
@@ -131,7 +138,7 @@ def test_every_scheduled_piece_is_needed_on_the_diagonal():
     so the piece is outside (others) as well."""
     for n in range(1, 6):
         for mu in partitions_of(n):
-            labels, gens = scheduled_generators(mu)
+            labels, gens = expanded_generators(mu)
             pieces: dict[str, list] = {}
             for label, g in zip(labels, gens):
                 pieces.setdefault(label.split("[")[0], []).append(g)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitideals import membership
+from orbitideals import membership, minors
 from orbitideals.linalg import TriangularBasis, apply_functional
 from orbitideals.membership import (
     MEMBER,
@@ -20,10 +20,10 @@ from orbitideals.membership import (
     verify_redundant,
     verify_rel1,
 )
-from orbitideals.minors import minor_sum_basis, prefixed_minor_sum, principal_minor_sum
+from orbitideals.minors import prefix_pairs, prefixed_minor_sum, tag_sum
 from orbitideals.partitions import Partition, excluded_depths, minimal_schedule, minor_space_vanishes, partitions_of
-from orbitideals.polyring import Polynomial, mon_weight, monomials_of_degree, pack
-from orbitideals.schur import highest_weight_vector, layer_basis
+from orbitideals.polyring import mon_weight, monomials_of_degree, pack
+from orbitideals.schur import highest_weight_tag, layer_generators
 from test_linalg import FractionBasis
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
@@ -39,20 +39,41 @@ def functional_of(verdict) -> dict:
     return {tuple(((r, c), e) for r, c, e in t["monomial"]): Fraction(t["coeff"]) for t in verdict["functional"]}
 
 
+def t(p):
+    """The tag of the invariant t_p."""
+    return (), (), p
+
+
+def x(r, c):
+    """The tag of the variable x_rc, the minor (r|c)."""
+    return (r,), (c,), 1
+
+
+def basis_tags(n, i, p):
+    """The tags of the members of `minor_sum_basis(n, i, p)`: a basis of
+    V(i,p) chosen apart from the layer representatives."""
+    return [(P, Q, p) for P, Q in minors._kept_pairs(n, min(i, p), p)]
+
+
+# (1,3|2,3) = x12 x33 - x13 x32, the one term of the size-2 sum of ((1,), (2,)) at n = 3
+X12_33 = ((1,), (2,), 2)
+
+
 def test_member_by_construction():
-    g = principal_minor_sum(3, 2)
-    f = g.times_monomial((((1, 2), 1),))
-    verdict, status = ideal_contains(f, [g])
+    verdict, status = ideal_contains(3, X12_33, [x(1, 2), x(1, 3)])
     assert status == verdict["status"] == MEMBER
-    assert verdict["combination"] == [{"gen": 0, "monomial": [[1, 2, 1]], "coeff": "1"}]
-    piece = GradedPiece(3, [g], 3)
-    assert piece.verify(f, verdict)
+    assert verdict["combination"] == [
+        {"gen": 0, "monomial": [[3, 3, 1]], "coeff": "1"},
+        {"gen": 1, "monomial": [[3, 2, 1]], "coeff": "-1"},
+    ]
+    piece = GradedPiece(3, [x(1, 2), x(1, 3)], 2)
+    assert piece.verify(X12_33, verdict)
 
 
 def test_trivial_non_member_empty_piece():
-    g = principal_minor_sum(3, 2)
-    f = Polynomial.variable(3, 1, 2)
-    verdict, status = ideal_contains(f, [g])
+    g = t(2)
+    f = x(1, 2)
+    verdict, status = ideal_contains(3, f, [g])
     assert status == verdict["status"] == NON_MEMBER
     piece = GradedPiece(3, [g], 1)
     # every block of the degree-1 piece is empty, not only those built so far
@@ -64,21 +85,24 @@ def test_trivial_non_member_empty_piece():
 
 
 def test_zero_candidate_is_member():
-    verdict, status = ideal_contains(Polynomial.zero(3), [principal_minor_sum(3, 1)])
+    # the size-3 sum of ((1,), (2,)) at n = 3 is empty: no J of size 2 avoids 1 and 2
+    zero = ((1,), (2,), 3)
+    assert tag_sum(3, zero).is_zero()
+    verdict, status = ideal_contains(3, zero, [t(1)])
     assert status == verdict["status"] == MEMBER
     assert verdict["combination"] == []
 
 
 def test_degree_mismatch_rejected():
-    piece = GradedPiece(3, [principal_minor_sum(3, 1)], 2)
+    piece = GradedPiece(3, [t(1)], 2)
     with pytest.raises(ValueError):
-        piece.contains(principal_minor_sum(3, 3))
+        piece.contains(t(3))
 
 
 def test_non_member_functional_certificate():
-    t1 = principal_minor_sum(3, 1)
-    f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    verdict, status = ideal_contains(f, [t1])
+    t1 = tag_sum(3, t(1))
+    f = X12_33
+    verdict, status = ideal_contains(3, f, [t(1)])
     assert status == verdict["status"] == NON_MEMBER
     lam = functional_of(verdict)
     # every row t1 * m of the degree-2 piece, built here rather than read
@@ -86,31 +110,30 @@ def test_non_member_functional_certificate():
     rows = [t1.times_monomial(m).terms for m in monomials_of_degree(3, 1)]
     assert len(rows) == 9
     assert all(apply_functional(lam, terms) == 0 for terms in rows)
-    piece = GradedPiece(3, [t1], 2)
-    assert apply_functional(lam, f.terms) != 0
+    piece = GradedPiece(3, [t(1)], 2)
+    assert apply_functional(lam, tag_sum(3, f).terms) != 0
     assert piece.verify(f, verdict)
     # a functional that is nonzero on a row t1 * m is rejected, whether that
-    # row lies in f's weight block (t1 * x11) or in another (t1 * x12)
+    # row lies in another weight block (t1 * x11) or in f's (t1 * x12)
     for extra in ((((1, 1), 2),), (((1, 1), 1), ((1, 2), 1))):
         bad = {**verdict, "functional": verdict["functional"] + records({extra: 1})}
         assert not piece.verify(f, bad)
 
 
 def test_member_certificate_fails_on_tampering():
-    g = principal_minor_sum(3, 2)
-    f = g.times_monomial((((1, 2), 1),))
-    verdict, status = ideal_contains(f, [g])
+    gens = [x(1, 2), x(1, 3)]
+    verdict, status = ideal_contains(3, X12_33, gens)
     assert status == verdict["status"] == MEMBER
-    piece = GradedPiece(3, [g], 3)
-    tampered = f + g.times_monomial((((1, 1), 1),))
-    assert not piece.verify(tampered, verdict)
+    piece = GradedPiece(3, gens, 2)
+    # x13 x22 - x12 x23, a member too, but with another combination
+    other = ((1,), (3,), 2)
+    assert piece.contains(other)["status"] == MEMBER
+    assert not piece.verify(other, verdict)
 
 
 def test_verdict_without_certificate_is_rejected(monkeypatch):
-    t1 = principal_minor_sum(3, 1)
-    f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
     uncertified = {"status": "consistent_non_member"}
-    assert not GradedPiece(3, [t1], 2).verify(f, uncertified)
+    assert not GradedPiece(3, [t(1)], 2).verify(X12_33, uncertified)
     # verify_minimal accepts an invariant only with a functional certificate
     monkeypatch.setattr(GradedPiece, "contains", lambda piece, f: uncertified)
     report = verify_minimal(Partition((3,)))
@@ -170,9 +193,8 @@ def test_verify_minimal_asks_each_question_once(built_pieces, mu, diagonals):
     # built again to verify it
     assert verify_minimal(Partition(mu))["ok"]
     assert [piece.diagonal for piece in built_pieces] == diagonals
-    # a question of degree d names only generators of degree <= d, so no
-    # generator that could give no row is expanded
-    assert all(g.degree <= piece.degree for piece in built_pieces for g in piece.gens)
+    # a question of degree d names only generators of degree <= d
+    assert all(tag[2] <= piece.degree for piece in built_pieces for tag in piece.gens)
 
 
 def _first_combination_zeroed(verdict):
@@ -220,8 +242,8 @@ def test_excluded_check_rests_on_highest_weight_vectors(monkeypatch):
     # ((1..k), (1..k)) in place of h_k has weight 0, so every query of a layer
     # k >= 1 reads `unverified` whatever its verdict, while t_p = h_0 passes
     mu = Partition((2, 2, 1))
-    bad = lambda n, k, p: prefixed_minor_sum(n, tuple(range(1, k + 1)), tuple(range(1, k + 1)), p)
-    monkeypatch.setattr(membership, "highest_weight_vector", bad)
+    bad = lambda n, k, p: (tuple(range(1, k + 1)), tuple(range(1, k + 1)), p)
+    monkeypatch.setattr(membership, "highest_weight_tag", bad)
     report = verify_minimal(mu)
     (check,) = [c for c in report["checks"] if c["kind"] == "excluded"]
     assert [(q["layer"], q["status"]) for q in check["detail"]["queries"]] == [
@@ -336,24 +358,22 @@ def test_verify_rel1_needs_two_rows():
 
 
 def test_rel1_members_and_t1_non_member_reverify():
-    gens = minor_sum_basis(3, 1, 2)
+    gens = basis_tags(3, 1, 2)
     piece = GradedPiece(3, gens, 3)
-    for c in minor_sum_basis(3, 1, 3):
+    for c in basis_tags(3, 1, 3):
         verdict = piece.contains(c)
         assert verdict["status"] == MEMBER
         assert piece.verify(c, verdict)
 
-    t1 = principal_minor_sum(3, 1)
-    f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    verdict, status = ideal_contains(f, [t1])
+    verdict, status = ideal_contains(3, X12_33, [t(1)])
     assert status == verdict["status"] == NON_MEMBER
-    assert GradedPiece(3, [t1], 2).verify(f, verdict)
+    assert GradedPiece(3, [t(1)], 2).verify(X12_33, verdict)
 
 
 def test_depth_two_member_certificate_reverifies():
-    gens = minor_sum_basis(4, 2, 2)
+    gens = basis_tags(4, 2, 2)
     piece = GradedPiece(4, gens, 3)
-    cand = minor_sum_basis(4, 2, 3)[0]
+    cand = basis_tags(4, 2, 3)[0]
     verdict = piece.contains(cand)
     assert verdict["status"] == MEMBER
     assert piece.verify(cand, verdict)
@@ -384,7 +404,7 @@ def test_pieces_are_freed_by_reference_counting():
     # would leave the blocks to the cyclic collector and raise the peak
     # memory of redundancy runs
     _, gens = scheduled_generators(Partition((2, 2, 1)), before_depth=2)
-    cases = ((False, layer_basis(5, 2, 3)[0]), (True, principal_minor_sum(5, 3)))
+    cases = ((False, layer_generators(5, 2, 3)[0]), (True, t(3)))
     gc.disable()
     try:
         for diagonal, candidate in cases:
@@ -480,7 +500,7 @@ def test_verify_minimal_curated_larger_partitions():
     assert t5_check["status"] == NON_MEMBER
     labels, gens = scheduled_generators(Partition((5,)))
     others = [g for lbl, g in zip(labels, gens) if lbl != "t_5"]
-    t5 = principal_minor_sum(5, 5)
+    t5 = t(5)
     piece = GradedPiece(5, others, 5, diagonal=True)
     verdict = piece.contains(t5)
     assert verdict["slice"] == "diagonal"
@@ -501,7 +521,7 @@ def test_verify_minimal_regular_orbit_n6():
 def assert_printed_members_reverify(mu: Partition, i: int, report: dict):
     """Each member combination a redundancy report prints recombines its
     candidate exactly in a fresh piece."""
-    candidates = layer_basis(mu.n, i, report["p"])
+    candidates = layer_generators(mu.n, i, report["p"])
     assert len(candidates) == len(report["verdicts"]) == report["candidates"], (mu, i)
     _, gens = scheduled_generators(mu, before_depth=i)
     piece = GradedPiece(mu.n, gens, report["p"])
@@ -536,62 +556,67 @@ def test_invariants_at_n7_are_certified_on_the_slice():
     for mu in partitions_of(n):
         _, gens = scheduled_generators(mu)
         for k, p in enumerate(p for i, p in minimal_schedule(mu) if not i):
-            verdict, status = ideal_contains(gens[k], gens[:k] + gens[k + 1 :])
+            verdict, status = ideal_contains(n, gens[k], gens[:k] + gens[k + 1 :])
             assert status == verdict["status"] == NON_MEMBER and verdict["slice"] == "diagonal", (mu, p)
             checks += 1
     assert checks == (54 if LARGE else 35)
 
 
 def test_slice_member_falls_back_to_the_weight_blocks():
-    t1 = principal_minor_sum(3, 1)
-    f = Polynomial.variable(3, 1, 2) * Polynomial.variable(3, 2, 1)
-    # rho(f) = 0, so the slice proves nothing
-    assert GradedPiece(3, [t1], 2, diagonal=True).contains(f) is None
-    verdict, status = ideal_contains(f, [t1])
+    # (1,2|1,2) + (1,3|1,3) at n = 3: rho(f) = x11 (x22 + x33) lies in the
+    # restricted ideal of t_1 and x11, so the slice proves nothing, while
+    # f is no member: x12 x21 + x13 x31 is left over
+    f, gens = ((1,), (1,), 2), [t(1), x(1, 1)]
+    assert GradedPiece(3, gens, 2, diagonal=True).contains(f) is None
+    verdict, status = ideal_contains(3, f, gens)
     assert status == verdict["status"] == NON_MEMBER and "slice" not in verdict
-    assert any(r != c for t in verdict["functional"] for r, c, _ in t["monomial"])
-    assert GradedPiece(3, [t1], 2).verify(f, verdict)
+    assert any(r != c for term in verdict["functional"] for r, c, _ in term["monomial"])
+    assert GradedPiece(3, gens, 2).verify(f, verdict)
 
 
 def test_slice_is_not_asked_when_rho_is_zero(built_pieces):
     # h_1(3) at n = 4 has weight e_1 - e_4, so rho(h_1) = 0 and the slice
     # could only answer None: the weight blocks alone are built
-    gens = [g for j, size in membership._step_layers(4, 1, 3) for g in layer_basis(4, j, size)]
+    gens = membership._generators(4, membership._step_layers(4, 1, 3))
     built_pieces.clear()
-    verdict, status = ideal_contains(highest_weight_vector(4, 1, 3), gens)
+    verdict, status = ideal_contains(4, highest_weight_tag(4, 1, 3), gens)
     assert status == verdict["status"] == MEMBER
     assert [piece.diagonal for piece in built_pieces] == [False]
 
 
+# (1,2|1,2) = x11 x22 - x12 x21 at n = 2, whose rho x11 x22 is a slice member
+X11_22 = ((1,), (1,), 2)
+
+
 def test_member_through_ideal_contains_keeps_its_combination():
-    g = principal_minor_sum(3, 2)
-    x11 = (((1, 1), 1),)
-    f = g.times_monomial(x11)  # rho(f) = e_2 * x11 is a slice member
-    assert GradedPiece(3, [g], 3, diagonal=True).contains(f) is None
-    verdict, status = ideal_contains(f, [g])
+    gens = [x(1, 1), x(1, 2)]
+    assert GradedPiece(2, gens, 2, diagonal=True).contains(X11_22) is None
+    verdict, status = ideal_contains(2, X11_22, gens)
     assert status == verdict["status"]
-    assert verdict == GradedPiece(3, [g], 3).contains(f)
-    assert verdict["combination"] == [{"gen": 0, "monomial": [[1, 1, 1]], "coeff": "1"}]
+    assert verdict == GradedPiece(2, gens, 2).contains(X11_22)
+    assert verdict["combination"] == [
+        {"gen": 0, "monomial": [[2, 2, 1]], "coeff": "1"},
+        {"gen": 1, "monomial": [[2, 1, 1]], "coeff": "-1"},
+    ]
     assert "slice" not in verdict
-    assert GradedPiece(3, [g], 3).verify(f, verdict)
+    assert GradedPiece(2, gens, 2).verify(X11_22, verdict)
 
 
 def _slice_non_member():
     _, gens = scheduled_generators(Partition((3,)))
-    return gens[2], gens[:2]
+    return 3, gens[2], gens[:2]
 
 
 def _blocks_member():
-    g = principal_minor_sum(3, 2)
-    return g.times_monomial((((1, 1), 1),)), [g]
+    return 2, X11_22, [x(1, 1), x(1, 2)]
 
 
 @pytest.mark.parametrize("query, diagonal", [(_slice_non_member, True), (_blocks_member, False)])
 def test_verdict_its_piece_rejects_reads_unverified(monkeypatch, query, diagonal):
     # the status is re-checked by the piece that decided, and a rejection
     # leaves the verdict as it was
-    f, gens = query()
-    honest, status = ideal_contains(f, gens)
+    n, f, gens = query()
+    honest, status = ideal_contains(n, f, gens)
     assert status == honest["status"] and ("slice" in honest) == diagonal
     asked = []
 
@@ -600,7 +625,7 @@ def test_verdict_its_piece_rejects_reads_unverified(monkeypatch, query, diagonal
         return False
 
     monkeypatch.setattr(GradedPiece, "verify", rejecting)
-    assert ideal_contains(f, gens) == (honest, "unverified")
+    assert ideal_contains(n, f, gens) == (honest, "unverified")
     assert asked == [diagonal]
 
 
@@ -619,13 +644,13 @@ def test_slice_functional_is_checked_on_the_slice_rows():
     x11_3 = (((1, 1), 3),)
     lam[x11_3] = lam.get(x11_3, 0) + 1
     tampered = {"status": NON_MEMBER, "functional": records(lam), "slice": "diagonal"}
-    assert apply_functional(lam, t3.terms) != 0
+    assert apply_functional(lam, tag_sum(3, t3).terms) != 0
     assert not piece.verify(t3, tampered)
     assert not full.verify(t3, tampered)
     # the slice rows say nothing off the diagonal, so such support is refused
     off = (((1, 1), 1), ((1, 2), 1), ((2, 1), 1))  # not a term of t_3
     widened = {**verdict, "functional": verdict["functional"] + records({off: 1})}
-    assert apply_functional(functional_of(widened), t3.terms) != 0
+    assert apply_functional(functional_of(widened), tag_sum(3, t3).terms) != 0
     assert not piece.verify(t3, widened)
     assert not full.verify(t3, widened)  # nonzero on t_1 * x12 x21
 
@@ -636,22 +661,26 @@ def test_depth_one_uses_longer_block_witness():
     assert c["detail"]["witness"] == "3,1"
 
 
+def all_tags(n, p):
+    """Every well-formed tag of size p at n, in `prefix_pairs` order by depth."""
+    return [(P, Q, p) for i in range(p + 1) for P, Q in prefix_pairs(n, i)]
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4))
-def test_random_combinations_are_members(coeffs):
-    gens = [principal_minor_sum(3, 1), principal_minor_sum(3, 2)]
-    multipliers = [
-        (0, monomials_of_degree(3, 2)[0]),
-        (0, monomials_of_degree(3, 2)[7]),
-        (1, monomials_of_degree(3, 1)[0]),
-        (1, monomials_of_degree(3, 1)[5]),
-    ]
-    f = Polynomial.zero(3)
-    for c, (gi, mon) in zip(coeffs, multipliers):
-        f = f + gens[gi].times_monomial(mon) * c
-    verdict, status = ideal_contains(f, gens)
+@given(st.sampled_from([3, 4]), st.integers(1, 3), st.integers(0, 3), st.integers(0, 999))
+def test_random_combinations_are_members(n, i, size, pick):
+    # each sum of size p + 1 and depth at most i is a combination of the
+    # sums of V(i,p) times variables, for 1 <= i <= p < n (V(i,p+1) in
+    # <V(i,p)>), so a random one is a member with a certificate that
+    # recombines it
+    i = min(i, n - 1)
+    p = i + size % (n - i)
+    gens = [tag for j in range(i + 1) for tag in layer_generators(n, j, p)]
+    candidates = [tag for tag in all_tags(n, p + 1) if len(tag[0]) <= i]
+    f = candidates[pick % len(candidates)]
+    verdict, status = ideal_contains(n, f, gens)
     assert status == verdict["status"] == MEMBER
-    piece = GradedPiece(3, gens, 3)
+    piece = GradedPiece(n, gens, p + 1)
     assert piece.verify(f, verdict)
 
 
@@ -674,27 +703,27 @@ def test_every_printed_verdict_reverifies_after_a_json_round_trip():
                 report = verify_redundant(mu, i)
                 _, earlier = scheduled_generators(mu, before_depth=i)
                 piece = GradedPiece(n, earlier, report["p"])
-                for cand, v in zip(layer_basis(n, i, report["p"]), report["verdicts"]):
+                for cand, v in zip(layer_generators(n, i, report["p"]), report["verdicts"]):
                     assert piece.verify(cand, read_back(v)), (mu, i)
                     checked[v["status"]] += 1
     assert checked == {MEMBER: 75, NON_MEMBER: 42}
 
 
 def test_unreadable_or_altered_certificates_are_rejected():
-    g = principal_minor_sum(3, 2)
-    f = g.times_monomial((((1, 2), 1),))
-    member, status = ideal_contains(f, [g])
+    gens, f = [x(1, 2), x(1, 3)], X12_33
+    member, status = ideal_contains(3, f, gens)
     assert status == member["status"]
-    piece = GradedPiece(3, [g], 3)
-    term = member["combination"][0]
+    piece = GradedPiece(3, gens, 2)
+    term, *rest_terms = member["combination"]
     broken_terms = [
         {**term, "coeff": "2"},
         {**term, "gen": 1},
         {**term, "gen": -1},
-        {**term, "monomial": [[1, 4, 1]]},
-        {**term, "monomial": [[0, 2, 1]]},
-        {**term, "monomial": [[1.0, 2, 1]]},
-        {**term, "monomial": [[1, 2, True]]},
+        {**term, "gen": 2},
+        {**term, "monomial": [[3, 4, 1]]},
+        {**term, "monomial": [[0, 3, 1]]},
+        {**term, "monomial": [[3.0, 3, 1]]},
+        {**term, "monomial": [[3, 3, True]]},
         {**term, "coeff": "x"},
         {"monomial": term["monomial"], "coeff": term["coeff"]},
         # a gen or a coefficient is read only in the form reports print
@@ -705,8 +734,8 @@ def test_unreadable_or_altered_certificates_are_rejected():
         {**term, "coeff": "+1"},
         {**term, "coeff": "2/2"},
     ]
-    for t in broken_terms:
-        assert piece.verify(f, {**member, "combination": [t]}) is False, t
+    for broken in broken_terms:
+        assert piece.verify(f, {**member, "combination": [broken, *rest_terms]}) is False, broken
     for junk in (None, [], "member", {"status": MEMBER}, {"status": MEMBER, "combination": None}):
         assert piece.verify(f, junk) is False, junk
 
@@ -726,8 +755,8 @@ def test_unreadable_or_altered_certificates_are_rejected():
         {**first, "coeff": float(Fraction(first["coeff"]))},
         {**first, "coeff": " " + first["coeff"]},
     ]
-    for t in broken_firsts:
-        assert slice_piece.verify(t3, {**non_member, "functional": [t] + rest}) is False, t
+    for broken in broken_firsts:
+        assert slice_piece.verify(t3, {**non_member, "functional": [broken] + rest}) is False, broken
     assert slice_piece.verify(t3, {"status": NON_MEMBER, "slice": "diagonal"}) is False
     # off the slice, an extra entry that no row can meet used to pass, and a
     # float row raised TypeError
@@ -748,7 +777,7 @@ def test_functional_not_in_printed_form_is_rejected():
     _, gens = scheduled_generators(Partition((3,)))
     t3, others = gens[2], gens[:2]
     piece = GradedPiece(3, others, 3, diagonal=True)
-    honest, status = ideal_contains(t3, others)
+    honest, status = ideal_contains(3, t3, others)
     assert status == honest["status"] and honest["slice"] == "diagonal" and piece.verify(t3, honest)
     functional = honest["functional"]
     forged = [
@@ -769,10 +798,11 @@ def test_functional_not_in_printed_form_is_rejected():
 def whole_piece_verdict(n, gens, f):
     """Reference oracle: eliminate every row g * m of the degree piece in one
     TriangularBasis, in piece order, and derive the certificate from it.
-    Rows are built in monomial space by `times_monomial`; each monomial is
-    then mapped to its `pack` column at deg(f), as the piece's columns
-    are."""
-    key = lambda mon: pack(n, mon, f.degree)
+    The tags are expanded here by `prefixed_minor_sum`, and rows are built
+    in monomial space by `times_monomial`; each monomial is then mapped to
+    its `pack` column at the size of f, as the piece's columns are."""
+    degree = f[2]
+    key = lambda mon: pack(n, mon, degree)
     mon_of = {}
 
     def columns(terms):
@@ -781,13 +811,14 @@ def whole_piece_verdict(n, gens, f):
 
     basis = TriangularBasis(track=True)
     rows = []
-    for gi, g in enumerate(gens):
-        if g.is_zero() or g.degree > f.degree:
+    for gi, tag in enumerate(gens):
+        g = prefixed_minor_sum(n, *tag)
+        if g.is_zero() or g.degree > degree:
             continue
-        for m in monomials_of_degree(n, f.degree - g.degree):
+        for m in monomials_of_degree(n, degree - g.degree):
             rows.append(g.times_monomial(m).terms)
             basis.insert(columns(rows[-1]), (gi, m))
-    residual, combo = basis.reduce(columns(f.terms))
+    residual, combo = basis.reduce(columns(prefixed_minor_sum(n, *f).terms))
     if not residual:
         prov = basis.provenance_of(combo)
         items = [(gi, m, Fraction(c)) for (gi, m), c in prov.items() if c]
@@ -800,21 +831,12 @@ def whole_piece_verdict(n, gens, f):
 
 
 def generator_pool(n):
-    """Torus-weight generators of degrees 1 and 2, and one that is not a
-    weight vector, though its restriction to the diagonal is."""
-    x = lambda r, c: Polynomial.variable(n, r, c)
-    homogeneous = [
-        principal_minor_sum(n, 1),
-        principal_minor_sum(n, 2),
-        x(1, 2),
-        prefixed_minor_sum(n, (1,), (2,), 2),
-        prefixed_minor_sum(n, (2,), (3,), 2),
-    ]
-    return homogeneous, x(1, 1) + x(1, 2) + x(3, 1)
+    """Generator tags of sizes 1 and 2, on and off the diagonal."""
+    return [t(1), t(2), x(1, 2), ((1,), (2,), 2), ((2,), (3,), 2)]
 
 
 def assert_blocks_match_whole_piece(n, gens, f):
-    piece = GradedPiece(n, gens, f.degree)
+    piece = GradedPiece(n, gens, f[2])
     verdict = piece.contains(f)
     reference, rows = whole_piece_verdict(n, gens, f)
     assert verdict == reference
@@ -829,22 +851,12 @@ def assert_blocks_match_whole_piece(n, gens, f):
 @given(
     st.sampled_from([3, 4]),
     st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True),
-    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 999), st.integers(-3, 3)), max_size=4),
-    st.lists(st.tuples(st.integers(0, 9999), st.integers(-2, 2)), max_size=3),
+    st.integers(0, 999),
 )
-def test_blocks_match_whole_piece(n, picks, products, extras):
-    homogeneous, _ = generator_pool(n)
-    gens = [homogeneous[k] for k in picks]
-    degree = 3
-    f = Polynomial.zero(n)
-    for gk, mk, c in products:
-        g = gens[gk % len(gens)]
-        mons = monomials_of_degree(n, degree - g.degree)
-        f = f + g.times_monomial(mons[mk % len(mons)]) * c
-    top = monomials_of_degree(n, degree)
-    for mk, c in extras:  # terms of any weight, usually making a non-member
-        f = f + Polynomial(n, {top[mk % len(top)]: c})
-    assert_blocks_match_whole_piece(n, gens, f)
+def test_blocks_match_whole_piece(n, picks, pick):
+    gens = [generator_pool(n)[k] for k in picks]
+    candidates = all_tags(n, 3)
+    assert_blocks_match_whole_piece(n, gens, candidates[pick % len(candidates)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -852,29 +864,18 @@ def test_blocks_match_whole_piece(n, picks, products, extras):
     st.sampled_from([3, 4]),
     st.lists(st.integers(0, 4), min_size=1, max_size=4),
     st.booleans(),
-    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 999), st.integers(-3, 3)), min_size=1, max_size=4),
-    st.lists(st.tuples(st.integers(0, 9999), st.integers(-2, 2)), max_size=2),
+    st.lists(st.integers(0, 999), min_size=1, max_size=4),
 )
-def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, diagonal, products, extras):
+def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, diagonal, picked):
     # one piece, on the weight blocks or on the diagonal slice, answers a
     # run of candidates as a fresh piece answers each; every verdict
     # re-verifies, and the slice never answers `member`
-    homogeneous, _ = generator_pool(n)
-    gens = [homogeneous[k] for k in picks]
-    degree = 3
-    top = monomials_of_degree(n, degree)
-    candidates = []
-    for gk, mk, c in products:  # one candidate per product, plus the extras
-        g = gens[gk % len(gens)]
-        mons = monomials_of_degree(n, degree - g.degree)
-        f = g.times_monomial(mons[mk % len(mons)]) * c
-        for ek, ec in extras:
-            f = f + Polynomial(n, {top[ek % len(top)]: ec})
-        candidates.append(f)
-    piece = GradedPiece(n, gens, degree, diagonal=diagonal)
-    for f in candidates:
+    gens = [generator_pool(n)[k] for k in picks]
+    tags = all_tags(n, 3)
+    piece = GradedPiece(n, gens, 3, diagonal=diagonal)
+    for f in (tags[k % len(tags)] for k in picked):
         verdict = piece.contains(f)
-        assert verdict == GradedPiece(n, gens, degree, diagonal=diagonal).contains(f)
+        assert verdict == GradedPiece(n, gens, 3, diagonal=diagonal).contains(f)
         if verdict is None:
             assert diagonal
         else:
@@ -882,34 +883,56 @@ def test_one_piece_answers_every_candidate_as_a_fresh_one(n, picks, diagonal, pr
             assert not (diagonal and verdict["status"] == MEMBER)
 
 
-def test_mixed_weight_candidate_uses_the_failing_block():
-    t1 = principal_minor_sum(3, 1)
-    x12, x21 = Polynomial.variable(3, 1, 2), Polynomial.variable(3, 2, 1)
-    member_part = t1 * x12  # weight e1 - e2
-    outside_part = x12 * x21  # weight 0, not in <t1>
-    piece, verdict = assert_blocks_match_whole_piece(3, [t1], member_part + outside_part)
-    assert verdict["status"] == NON_MEMBER
-    assert {mon_weight(3, m) for m in functional_of(verdict)} == {(0, 0, 0)}
-    # only the blocks the candidate meets were built: t1 times x11, x22, x33
-    # and t1 times x12, not all 9 rows
-    assert len(piece.rows) == 3 + 1
-    _, verdict = assert_blocks_match_whole_piece(3, [t1], member_part + t1 * x21)
-    assert verdict["status"] == MEMBER
+MALFORMED = [
+    ((2, 1), (1, 2), 2),  # unsorted
+    ((1, 1), (1, 2), 2),  # a repeated entry
+    ((1,), (4,), 2),  # an entry outside 1..n
+    ((0,), (1,), 2),
+    ((1,), (), 2),  # |P| != |Q|
+    ((1, 2), (1, 2), 1),  # a size below |P|
+    ((), (), 0),  # a size below 1
+    ((), (), 4),  # a size above n
+]
 
 
-def test_non_weight_generator_is_rejected():
-    # one rule on the weight blocks and on the slice, checked before
-    # restriction: rho(odd) is the weight vector x_11, and rho(x_12 + x_21)
-    # is zero
-    homogeneous, odd = generator_pool(3)
-    x = lambda r, c: Polynomial.variable(3, r, c)
+@pytest.mark.parametrize("tag", MALFORMED)
+def test_malformed_tag_is_rejected(tag):
+    # one rule on the weight blocks and on the slice, for a generator
+    # whatever its size and for a candidate, and so for ideal_contains
     for diagonal in (False, True):
-        for gen in (odd, x(1, 2) + x(2, 1)):
-            for gens in ([homogeneous[0], gen], [gen, homogeneous[1]]):
-                with pytest.raises(ValueError, match="torus-weight"):
-                    GradedPiece(3, gens, 2, diagonal=diagonal)
-    with pytest.raises(ValueError, match="torus-weight"):
-        ideal_contains(x(1, 1) * x(2, 2), [homogeneous[0], odd])
+        for gens in ([t(1), tag], [tag, t(2)]):
+            with pytest.raises(ValueError, match="tag"):
+                GradedPiece(3, gens, 2, diagonal=diagonal)
+        with pytest.raises(ValueError, match="tag"):
+            GradedPiece(3, [t(1)], 2, diagonal=diagonal).contains(tag)
+    with pytest.raises(ValueError, match="tag"):
+        ideal_contains(3, tag, [t(1)])
+    with pytest.raises(ValueError, match="tag"):
+        ideal_contains(3, t(2), [t(1), tag])
+
+
+def test_a_candidate_builds_only_the_block_of_its_weight():
+    # X12_33 has weight e1 - e2, so of the nine rows t1 * m only t1 * x12 is built
+    piece, verdict = assert_blocks_match_whole_piece(3, [t(1)], X12_33)
+    assert verdict["status"] == NON_MEMBER
+    assert {mon_weight(3, m) for m in functional_of(verdict)} == {(1, -1, 0)}
+    assert piece.rows == [(0, (((1, 2), 1),))]
+
+
+def test_a_slice_decided_question_expands_no_minor(monkeypatch):
+    # t_p is asked against the layers of size at most p on the slice, whose
+    # rows and candidate are closed forms: no minor is expanded, though the
+    # expansion cache starts empty
+    calls = []
+    minor = minors.minor
+    monkeypatch.setattr(minors, "minor", lambda *args: calls.append(args) or minor(*args))
+    tag_sum.cache_clear()
+    mu = Partition((3, 2, 1))
+    for p in (1, 2, 3):
+        against = [layer for layer in minimal_schedule(mu) if layer[1] <= p and layer != (0, p)]
+        verdict, status = ideal_contains(6, t(p), membership._generators(6, against))
+        assert status == NON_MEMBER and verdict["slice"] == "diagonal", p
+    assert calls == []
 
 
 # -- certificates against the stored form of the rows -------------------------

@@ -14,8 +14,11 @@ from orbitideals.minors import (
     principal_minor_sum,
     signed_minors,
     sort_with_sign,
+    tag_restriction,
+    tag_sum,
+    tag_weight,
 )
-from orbitideals.polyring import Polynomial
+from orbitideals.polyring import Polynomial, mon_weight
 
 
 def x(n, r, c):
@@ -239,3 +242,25 @@ def test_prefixes_past_the_minor_size_share_one_elimination():
     minor_sum_basis.cache_clear()
     assert len(minor_sum_basis(n, n, 2)) == family_rank(n, 2, 2)
     assert _kept_pairs.cache_info().misses == distinct
+
+
+def test_tag_weight_and_restriction_match_the_expansion():
+    """For every tag (P, Q, p) of n <= 6, every depth and size: each term of
+    the expanded sum has the weight e_P - e_Q that `tag_weight` reads off
+    the tag, and the closed form `tag_restriction` is the sum of the terms
+    in the x_rr alone, taken here from the expansion."""
+    tags = 0
+    for n in range(1, 7):
+        for i in range(n + 1):
+            for P, Q in prefix_pairs(n, i):
+                for p in range(max(i, 1), n + 1):
+                    tag = (P, Q, p)
+                    f = tag_sum(n, tag)
+                    w = tag_weight(n, tag)
+                    assert w == tuple(int(r in P) - int(r in Q) for r in range(1, n + 1))
+                    assert all(mon_weight(n, mon) == w for mon in f.terms), tag
+                    diagonal = {mon: c for mon, c in f.terms.items() if all(r == col for (r, col), _ in mon)}
+                    assert tag_restriction(n, tag) == Polynomial(n, diagonal), (n, tag)
+                    tags += 1
+    assert tags == 4847
+    tag_sum.cache_clear()

@@ -19,7 +19,6 @@ import symtable
 from pathlib import Path
 
 from orbitideals.membership import GradedPiece
-from orbitideals.minors import principal_minor_sum
 from orbitideals.orbit import sample_orbit
 from orbitideals.partitions import Partition
 
@@ -99,7 +98,7 @@ def test_values_the_benchmark_hooks_read():
     # perfbench/layers.py adds every sample's matrix to a set and reads a
     # fresh piece's rows, nonzeros and path
     assert hash(sample_orbit(Partition((2, 1)), 0).matrix) is not None
-    piece = GradedPiece(3, [principal_minor_sum(3, 1)], 2)
+    piece = GradedPiece(3, [((), (), 1)], 2)  # the tag of t_1
     assert (len(piece.rows), piece.nonzeros, piece.path) == (0, 0, "exact")
 
 

@@ -13,16 +13,22 @@ from orbitideals.minors import (
     minor_sum_family,
     prefixed_minor_sum,
     principal_minor_sum,
+    tag_sum,
 )
 from orbitideals.polyring import pack, raising_derivation
 from orbitideals.schur import (
     dimension_table,
-    highest_weight_vector,
+    highest_weight_tag,
     is_highest_weight,
     layer_basis,
     layer_dimension,
+    layer_generators,
     layer_tags,
 )
+
+
+def highest_weight_vector(n, k, p):
+    return tag_sum(n, highest_weight_tag(n, k, p))
 
 LARGE = os.environ.get("ORBIT_IDEALS_LARGE") == "1"
 

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitideals.membership import MEMBER, NON_MEMBER, ideal_contains, scheduled_generators
-from orbitideals.minors import minor, prefixed_minor_sum
+from orbitideals.minors import minor, prefixed_minor_sum, tag_sum
 from orbitideals.partitions import partitions_of
-from orbitideals.schur import layer_basis
+from orbitideals.schur import layer_generators
 
 sympy = pytest.importorskip("sympy")
 
@@ -48,13 +48,13 @@ def test_membership_matches_sympy_groebner():
     cases = 0
     for n in (3, 4) if LARGE else (3,):
         x = variables(n)
-        candidates = [c for p in range(1, n + 1) for i in range(p + 1) for c in layer_basis(n, i, p)]
+        candidates = [c for p in range(1, n + 1) for i in range(p + 1) for c in layer_generators(n, i, p)]
         for mu in partitions_of(n):
             _, gens = scheduled_generators(mu)
-            basis = sympy.groebner([to_sympy(g, x) for g in gens], *x, order="grevlex")
+            basis = sympy.groebner([to_sympy(tag_sum(n, g), x) for g in gens], *x, order="grevlex")
             for c in candidates:
-                expected = MEMBER if basis.contains(to_sympy(c, x)) else NON_MEMBER
-                verdict, status = ideal_contains(c, gens)
+                expected = MEMBER if basis.contains(to_sympy(tag_sum(n, c), x)) else NON_MEMBER
+                verdict, status = ideal_contains(n, c, gens)
                 assert status == verdict["status"] == expected, (mu, c)
                 cases += 1
     assert cases == (57 + 345 if LARGE else 57)
